@@ -54,11 +54,9 @@ from .optimizer import (
     BeamformingState,
     OptimizationTrace,
     effective_gains,
-    effective_gain,
     average_rate,
     water_filling,
     alignment_init,
-    random_init,
     reflect_beamforming,
     alternating_optimize,
     ideal_design,

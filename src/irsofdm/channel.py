@@ -108,6 +108,11 @@ class ChannelRealization:
     def n_subcarriers(self):
         return self.frequencies.size
 
+    @property
+    def cascade(self):
+        """Per-element cascade conj(h_irs_user) * g_ap_irs, shape (N, K)."""
+        return np.conj(self.h_irs_user) * self.g_ap_irs
+
 
 def _taps_to_freq(taps, delta_f, bandwidth):
     # taps: (..., L); response: (..., K)

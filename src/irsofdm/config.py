@@ -15,7 +15,7 @@ import yaml
 
 from .channel import PathLossExponents, SystemConfig, dbm_to_watts
 from .circuit import CircuitParams
-from .reflection_model import ModelParams
+from .reflection_model import ModelParams, codebook
 
 
 class ConfigError(Exception):
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise ValueError("element sweep cannot be empty")
         if any(n < 0 for n in self.element_sweep):
             raise ValueError("element counts cannot be negative")
-        # codebook_bits validity is enforced by codebook() at use time
+        codebook(self.codebook_bits)  # raises ValueError outside 1..8 bits
 
 
 def default_config(scenario="rate-vs-power"):
@@ -103,9 +103,18 @@ def _as_float(sec, key):
 
 def _as_int(sec, key):
     val = _as_float(sec, key)
-    if val != int(val):
+    if not val.is_integer():
         raise ConfigError(f"key {key!r} must be an integer, got {sec[key]!r}")
     return int(val)
+
+
+def _as_tuple(sec, key, conv):
+    """A list value with every item converted by `conv` (_as_float or _as_int)."""
+    if not isinstance(sec[key], (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    # each item under its own name, so an error says which one is bad
+    items = {f"{key}[{i}]": item for i, item in enumerate(sec[key])}
+    return tuple(conv(items, name) for name in items)
 
 
 def _section(raw, name, allowed):
@@ -196,10 +205,7 @@ def _build_validation(raw):
     if "n_points" in sec:
         kwargs["n_points"] = _as_int(sec, "n_points")
     if "target_phases_deg" in sec:
-        phases = sec["target_phases_deg"]
-        if not isinstance(phases, (list, tuple)):
-            raise ConfigError("target_phases_deg must be a list")
-        kwargs["target_phases_deg"] = tuple(float(v) for v in phases)
+        kwargs["target_phases_deg"] = _as_tuple(sec, "target_phases_deg", _as_float)
     return ValidationSettings(**kwargs)
 
 
@@ -222,13 +228,9 @@ def config_from_dict(raw):
     if "codebook_bits" in raw:
         kwargs["codebook_bits"] = _as_int(raw, "codebook_bits")
     if "power_sweep_dbm" in raw:
-        if not isinstance(raw["power_sweep_dbm"], (list, tuple)):
-            raise ConfigError("power_sweep_dbm must be a list")
-        kwargs["power_sweep_dbm"] = tuple(float(v) for v in raw["power_sweep_dbm"])
+        kwargs["power_sweep_dbm"] = _as_tuple(raw, "power_sweep_dbm", _as_float)
     if "element_sweep" in raw:
-        if not isinstance(raw["element_sweep"], (list, tuple)):
-            raise ConfigError("element_sweep must be a list")
-        kwargs["element_sweep"] = tuple(int(v) for v in raw["element_sweep"])
+        kwargs["element_sweep"] = _as_tuple(raw, "element_sweep", _as_int)
     try:
         return ExperimentConfig(
             system=_build_system(raw),

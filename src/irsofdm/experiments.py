@@ -15,13 +15,8 @@ import numpy as np
 
 from .channel import dbm_to_watts, generate_channels, take_elements
 from .circuit import UnreachablePhaseError, reflection, solve_capacitance, wrap_phase
-from .optimizer import (
-    alternating_optimize,
-    effective_gains,
-    ideal_design,
-    water_filling,
-    _rate_from_power_gains,
-)
+from .kernels import mean_rate
+from .optimizer import alternating_optimize, effective_gains, ideal_design, water_filling
 from .reflection_model import codebook, model_amplitude, model_phase
 
 SCHEMES = ("practical", "ideal", "no_irs")
@@ -42,7 +37,7 @@ def drop_channel(system, seed, drop):
                              _drop_channel_seed(seed, drop))
 
 
-def simulate_drop_rates(channel, model, cb, system, settings, backend=None):
+def simulate_drop_rates(channel, model, cb, system, settings):
     """Achievable rate of each scheme on one channel realization.
 
     practical: joint alternating design through the reflection model.
@@ -53,19 +48,18 @@ def simulate_drop_rates(channel, model, cb, system, settings, backend=None):
     sigma2 = system.noise_variance
     _, _, r_practical, _ = alternating_optimize(
         channel, model, cb, system, eps_rate=settings.eps_rate,
-        max_outer=settings.max_outer, max_sweeps=settings.max_sweeps, backend=backend)
+        max_outer=settings.max_outer, max_sweeps=settings.max_sweeps)
 
     state = ideal_design(channel, cb, system, model, eps_rate=settings.eps_rate,
-                         max_outer=settings.max_outer, max_sweeps=settings.max_sweeps,
-                         backend=backend)
+                         max_outer=settings.max_outer, max_sweeps=settings.max_sweeps)
     eff = effective_gains(channel, state)
     gains = eff.real ** 2 + eff.imag ** 2
     alloc = water_filling(gains, sigma2, system.max_power)
-    r_ideal = _rate_from_power_gains(alloc.p, gains, sigma2)
+    r_ideal = float(mean_rate(alloc.p, gains, sigma2))
 
     direct = channel.h_direct.real ** 2 + channel.h_direct.imag ** 2
     alloc_d = water_filling(direct, sigma2, system.max_power)
-    r_direct = _rate_from_power_gains(alloc_d.p, direct, sigma2)
+    r_direct = float(mean_rate(alloc_d.p, direct, sigma2))
     return {"practical": r_practical, "ideal": r_ideal, "no_irs": r_direct}
 
 
@@ -153,7 +147,7 @@ class RateSweepResult:
                        std, self.n_drops, self.seed)
 
 
-def run_rate_vs_power(cfg, backend=None):
+def run_rate_vs_power(cfg):
     """Mean rate of every scheme across a transmit power sweep.
 
     The same channel drops are reused at every power, so scheme curves move
@@ -166,14 +160,13 @@ def run_rate_vs_power(cfg, backend=None):
         channel = drop_channel(cfg.system, cfg.seed, drop)
         for v in values:
             system_p = dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v)))
-            rates = simulate_drop_rates(channel, cfg.model, cb, system_p,
-                                        cfg.optimizer, backend=backend)
+            rates = simulate_drop_rates(channel, cfg.model, cb, system_p, cfg.optimizer)
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
     return RateSweepResult("power_dbm", values, cfg.seed, cfg.n_drops, per_drop)
 
 
-def run_rate_vs_elements(cfg, backend=None):
+def run_rate_vs_elements(cfg):
     """Mean rate of every scheme across element counts.
 
     Channels are generated once per drop at the largest count and sliced, so
@@ -189,8 +182,7 @@ def run_rate_vs_elements(cfg, backend=None):
         for v in values:
             channel = take_elements(channel_full, v)
             system_n = dataclasses.replace(cfg.system, n_elements=v)
-            rates = simulate_drop_rates(channel, cfg.model, cb, system_n,
-                                        cfg.optimizer, backend=backend)
+            rates = simulate_drop_rates(channel, cfg.model, cb, system_n, cfg.optimizer)
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
     return RateSweepResult("n_elements", values, cfg.seed, cfg.n_drops, per_drop)
@@ -207,14 +199,14 @@ class TraceResult:
         return self.trace.rows()
 
 
-def run_convergence_trace(cfg, backend=None):
+def run_convergence_trace(cfg):
     """Objective trace of one alternating optimization on drop 0."""
     cb = codebook(cfg.codebook_bits)
     channel = drop_channel(cfg.system, cfg.seed, 0)
     opt = cfg.optimizer
     _, _, rate, trace = alternating_optimize(
         channel, cfg.model, cb, cfg.system, eps_rate=opt.eps_rate,
-        max_outer=opt.max_outer, max_sweeps=opt.max_sweeps, backend=backend)
+        max_outer=opt.max_outer, max_sweeps=opt.max_sweeps)
     return TraceResult(trace, rate)
 
 

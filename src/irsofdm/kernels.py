@@ -1,28 +1,21 @@
-"""Coordinate-descent sweep kernels, jitted and pure-numpy twins.
+"""Combined gain, mean rate and the coordinate-descent sweep kernel.
+
+With the cascade v[n, k] = conj(h_r[n, k]) g[n, k] of element n, the gain of
+subcarrier k under reflections phi is h_d[k] + sum_n phi[n, k] v[n, k], and
+the design objective is the mean of log2(1 + p_k |gain_k|^2 / sigma^2).
+`combined_gains` and `mean_rate` are the one place each is computed.
 
 The hot loop of reflect beamforming visits the elements in ascending order
 and, for each, rescans the whole phase codebook against the current residual
 field.  Cost per sweep is N * S * K log-rate evaluations, which dominates the
-Monte Carlo experiments, so the default backend is a numba njit kernel.  Set
-IRSOFDM_BACKEND=numpy to force the vectorized numpy fallback (used
-automatically when numba is not importable); both twins implement the same
-update order and tie-breaking (lowest codebook index wins).
+Monte Carlo experiments.  Ties go to the lowest codebook index.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
-
-ENV_VAR = "IRSOFDM_BACKEND"
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
 
 
 class SweepResult(NamedTuple):
@@ -32,119 +25,25 @@ class SweepResult(NamedTuple):
     converged: bool           # a full sweep changed no index
 
 
-def available_backends():
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def combined_gains(h_d, v, phi):
+    """Complex gain per subcarrier, h_d + sum_n phi[n] * v[n], shape (K,).
 
-
-def default_backend():
-    """Backend chosen by the IRSOFDM_BACKEND environment flag.
-
-    "numba" and "numpy" force a backend; unset or "auto" picks numba when it
-    imports, numpy otherwise.
+    h_d : (K,) direct link; v : (N, K) cascade; phi : (N, K) reflections.
     """
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_VAR} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("IRSOFDM_BACKEND=numba but numba is not importable")
-    return "numba" if HAVE_NUMBA else "numpy"
+    return h_d + (phi * v).sum(axis=0)
 
 
-def _cd_sweeps_numpy(v, h_d, phi_table, p, sigma2, indices, max_sweeps):
-    n_el = v.shape[0]
-    update_rates = []
-    sweep_rates = []
-    converged = False
-    base = h_d + (phi_table[indices] * v).sum(axis=0)
-    for _ in range(max_sweeps):
-        changed = False
-        for n in range(n_el):
-            partial = base - v[n] * phi_table[indices[n]]
-            cand = partial[None, :] + v[n][None, :] * phi_table
-            power = cand.real ** 2 + cand.imag ** 2
-            rates = np.mean(np.log2(1.0 + p * power / sigma2), axis=1)
-            s_best = int(np.argmax(rates))  # first max, lowest index on ties
-            if s_best != indices[n]:
-                changed = True
-                indices[n] = s_best
-            base = partial + v[n] * phi_table[s_best]
-            update_rates.append(float(rates[s_best]))
-        # rebuild from scratch so incremental updates cannot drift
-        base = h_d + (phi_table[indices] * v).sum(axis=0)
-        power = base.real ** 2 + base.imag ** 2
-        sweep_rates.append(float(np.mean(np.log2(1.0 + p * power / sigma2))))
-        if not changed:
-            converged = True
-            break
-    return indices, np.asarray(update_rates), np.asarray(sweep_rates), converged
+def mean_rate(p, gains_sq, noise_variance):
+    """Mean of log2(1 + p |h|^2 / sigma^2) over the last (subcarrier) axis.
 
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rebuild_base(v, h_d, phi_table, indices, base):
-        n_el, n_sc = v.shape
-        for k in range(n_sc):
-            acc = h_d[k]
-            for n in range(n_el):
-                acc = acc + v[n, k] * phi_table[indices[n], k]
-            base[k] = acc
-
-    @njit(cache=True)
-    def _mean_rate(base, p, sigma2):
-        n_sc = base.shape[0]
-        acc = 0.0
-        for k in range(n_sc):
-            pw = base[k].real * base[k].real + base[k].imag * base[k].imag
-            acc += np.log2(1.0 + p[k] * pw / sigma2)
-        return acc / n_sc
-
-    @njit(cache=True)
-    def _cd_sweeps_numba(v, h_d, phi_table, p, sigma2, indices, max_sweeps):
-        n_el, n_sc = v.shape
-        n_cb = phi_table.shape[0]
-        update_rates = np.empty(max_sweeps * n_el)
-        sweep_rates = np.empty(max_sweeps)
-        base = np.empty(n_sc, dtype=np.complex128)
-        _rebuild_base(v, h_d, phi_table, indices, base)
-        n_updates = 0
-        n_sweeps = 0
-        converged = False
-        for _ in range(max_sweeps):
-            changed = False
-            for n in range(n_el):
-                best_s = 0
-                best_rate = -1.0
-                for s in range(n_cb):
-                    acc = 0.0
-                    for k in range(n_sc):
-                        c = (base[k] - v[n, k] * phi_table[indices[n], k]) + v[n, k] * phi_table[s, k]
-                        pw = c.real * c.real + c.imag * c.imag
-                        acc += np.log2(1.0 + p[k] * pw / sigma2)
-                    rate = acc / n_sc
-                    if rate > best_rate:  # strict, so ties keep the lowest s
-                        best_rate = rate
-                        best_s = s
-                for k in range(n_sc):
-                    base[k] = (base[k] - v[n, k] * phi_table[indices[n], k]) + v[n, k] * phi_table[best_s, k]
-                if best_s != indices[n]:
-                    changed = True
-                    indices[n] = best_s
-                update_rates[n_updates] = best_rate
-                n_updates += 1
-            _rebuild_base(v, h_d, phi_table, indices, base)
-            sweep_rates[n_sweeps] = _mean_rate(base, p, sigma2)
-            n_sweeps += 1
-            if not changed:
-                converged = True
-                break
-        return indices, update_rates[:n_updates], sweep_rates[:n_sweeps], converged
+    `gains_sq` holds the squared gain magnitudes |h|^2; leading axes, such as
+    one row per codebook candidate, are kept.
+    """
+    return np.mean(np.log2(1.0 + p * gains_sq / noise_variance), axis=-1)
 
 
 def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices,
-                              max_sweeps=20, backend=None):
+                              max_sweeps=20):
     """Run codebook coordinate-descent sweeps until no index changes.
 
     v : (N, K) complex cascade per element (conj(h_irs_user) * g_ap_irs)
@@ -178,14 +77,26 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
 
-    if backend is None:
-        backend = default_backend()
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        out = _cd_sweeps_numba(v, h_d, phi_table, p, sigma2, indices, int(max_sweeps))
-    elif backend == "numpy":
-        out = _cd_sweeps_numpy(v, h_d, phi_table, p, sigma2, indices, int(max_sweeps))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return SweepResult(out[0], out[1], out[2], bool(out[3]))
+    update_rates = []
+    sweep_rates = []
+    converged = False
+    base = combined_gains(h_d, v, phi_table[indices])
+    for _ in range(int(max_sweeps)):
+        changed = False
+        for n in range(n_el):
+            partial = base - v[n] * phi_table[indices[n]]
+            cand = partial[None, :] + v[n][None, :] * phi_table
+            rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
+            s_best = int(np.argmax(rates))  # first max, lowest index on ties
+            if s_best != indices[n]:
+                changed = True
+                indices[n] = s_best
+            base = partial + v[n] * phi_table[s_best]
+            update_rates.append(float(rates[s_best]))
+        # rebuild from scratch so incremental updates cannot drift
+        base = combined_gains(h_d, v, phi_table[indices])
+        sweep_rates.append(float(mean_rate(p, base.real ** 2 + base.imag ** 2, sigma2)))
+        if not changed:
+            converged = True
+            break
+    return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), converged)

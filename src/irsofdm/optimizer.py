@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from .channel import ChannelRealization
-from .kernels import coordinate_descent_sweeps
+from .kernels import combined_gains, coordinate_descent_sweeps, mean_rate
 from .reflection_model import reflection_table
 
 
@@ -87,18 +87,7 @@ def effective_gains(channel, beam):
     """Combined complex gain per subcarrier, shape (K,)."""
     if beam.phi.shape != channel.h_irs_user.shape:
         raise ValueError("beamforming state does not match the channel shape")
-    return channel.h_direct + np.sum(np.conj(channel.h_irs_user) * beam.phi * channel.g_ap_irs, axis=0)
-
-
-def effective_gain(channel, beam, k):
-    """Combined complex gain of subcarrier k (0-based)."""
-    if not 0 <= k < channel.n_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    return complex(effective_gains(channel, beam)[k])
-
-
-def _rate_from_power_gains(p, gains_sq, noise_variance):
-    return float(np.mean(np.log2(1.0 + p * gains_sq / noise_variance)))
+    return combined_gains(channel.h_direct, channel.cascade, beam.phi)
 
 
 def average_rate(channel, beam, power, noise_variance):
@@ -109,7 +98,7 @@ def average_rate(channel, beam, power, noise_variance):
     if p.shape != (channel.n_subcarriers,):
         raise ValueError("power allocation does not match the subcarrier count")
     g = effective_gains(channel, beam)
-    return _rate_from_power_gains(p, g.real ** 2 + g.imag ** 2, noise_variance)
+    return float(mean_rate(p, g.real ** 2 + g.imag ** 2, noise_variance))
 
 
 def water_filling(gains, noise_variance, total_power, n_iter=100):
@@ -153,19 +142,14 @@ def alignment_init(channel, cb):
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     k_c = channel.n_subcarriers // 2
-    v_c = np.conj(channel.h_irs_user[:, k_c]) * channel.g_ap_irs[:, k_c]
+    v_c = channel.cascade[:, k_c]
     share = channel.h_direct[k_c] / n
     scores = np.abs(v_c[:, None] * np.exp(1j * cb.values)[None, :] + share)
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def random_init(n_elements, cb, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, cb.size, size=n_elements, dtype=np.int64)
-
-
 def reflect_beamforming(channel, power, noise_variance, model, cb, init_indices=None, *,
-                        max_sweeps=20, backend=None):
+                        max_sweeps=20):
     """Coordinate-descent phase selection for a fixed power allocation.
 
     Sweeps the elements in ascending order until a full sweep changes no
@@ -176,9 +160,8 @@ def reflect_beamforming(channel, power, noise_variance, model, cb, init_indices=
     table = reflection_table(model, cb, channel.frequencies)
     if init_indices is None:
         init_indices = alignment_init(channel, cb)
-    v = np.conj(channel.h_irs_user) * channel.g_ap_irs
-    res = coordinate_descent_sweeps(v, channel.h_direct, table, p, noise_variance,
-                                    init_indices, max_sweeps=max_sweeps, backend=backend)
+    res = coordinate_descent_sweeps(channel.cascade, channel.h_direct, table, p, noise_variance,
+                                    init_indices, max_sweeps=max_sweeps)
     state = BeamformingState(res.indices, table[res.indices])
     trace = OptimizationTrace(["reflect"] * res.update_rates.size, res.update_rates,
                               int(res.sweep_rates.size), res.converged)
@@ -186,35 +169,33 @@ def reflect_beamforming(channel, power, noise_variance, model, cb, init_indices=
 
 
 def _alternate(channel, table, total_power, noise_variance, init_indices, *,
-               eps_rate=1e-4, max_outer=30, max_sweeps=20, backend=None):
+               eps_rate=1e-4, max_outer=30, max_sweeps=20):
     """Alternating loop shared by the practical and ideal designs."""
     n_sc = channel.n_subcarriers
-    v = np.conj(channel.h_irs_user) * channel.g_ap_irs
+    v = channel.cascade
     indices = np.asarray(init_indices, dtype=np.int64).copy()
     p = np.full(n_sc, total_power / n_sc)
 
-    def realized_gains(idx):
-        eff = channel.h_direct + (table[idx] * v).sum(axis=0)
-        return eff.real ** 2 + eff.imag ** 2
-
     stages = ["init"]
-    objectives = [_rate_from_power_gains(p, realized_gains(indices), noise_variance)]
+    g = combined_gains(channel.h_direct, v, table[indices])
+    objectives = [float(mean_rate(p, g.real ** 2 + g.imag ** 2, noise_variance))]
     r_prev = objectives[0]
     sweeps_total = 0
     converged = False
     alloc = PowerAllocation(p)
     for _ in range(max_outer):
         res = coordinate_descent_sweeps(v, channel.h_direct, table, p, noise_variance,
-                                        indices, max_sweeps=max_sweeps, backend=backend)
+                                        indices, max_sweeps=max_sweeps)
         indices = res.indices
         stages.extend(["reflect"] * res.update_rates.size)
         objectives.extend(res.update_rates.tolist())
         sweeps_total += int(res.sweep_rates.size)
 
-        gains = realized_gains(indices)
+        g = combined_gains(channel.h_direct, v, table[indices])
+        gains = g.real ** 2 + g.imag ** 2
         alloc = water_filling(gains, noise_variance, total_power)
         p = alloc.p
-        r_now = _rate_from_power_gains(p, gains, noise_variance)
+        r_now = float(mean_rate(p, gains, noise_variance))
         stages.append("power")
         objectives.append(r_now)
         if r_now - r_prev < eps_rate:
@@ -227,7 +208,7 @@ def _alternate(channel, table, total_power, noise_variance, init_indices, *,
 
 
 def alternating_optimize(channel, model, cb, config, init_indices=None, *,
-                         eps_rate=1e-4, max_outer=30, max_sweeps=20, backend=None):
+                         eps_rate=1e-4, max_outer=30, max_sweeps=20):
     """Joint design: alternate codebook coordinate descent and water-filling.
 
     Starts from uniform power and the center-subcarrier alignment (or the
@@ -240,13 +221,13 @@ def alternating_optimize(channel, model, cb, config, init_indices=None, *,
         init_indices = alignment_init(channel, cb)
     indices, alloc, rate, trace = _alternate(
         channel, table, config.max_power, config.noise_variance, init_indices,
-        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps, backend=backend)
+        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps)
     state = BeamformingState(indices, table[indices])
     return state, alloc, rate, trace
 
 
 def ideal_design(channel, cb, config, model, init_indices=None, *,
-                 eps_rate=1e-4, max_outer=30, max_sweeps=20, backend=None):
+                 eps_rate=1e-4, max_outer=30, max_sweeps=20):
     """Beam designed as if every element reflected exp(j x) flat in frequency.
 
     The returned state carries the practical model's reflection for the
@@ -260,7 +241,7 @@ def ideal_design(channel, cb, config, model, init_indices=None, *,
         init_indices = alignment_init(channel, cb)
     indices, _, _, _ = _alternate(
         channel, ideal_table, config.max_power, config.noise_variance, init_indices,
-        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps, backend=backend)
+        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps)
     return BeamformingState.from_indices(indices, model, cb, channel.frequencies)
 
 
@@ -276,18 +257,18 @@ def exhaustive_search(channel, model, cb, config, max_configs=1_000_000):
     if size > max_configs:
         raise ValueError(f"{cb.size}^{n} = {size} assignments exceed the cap {max_configs}")
     table = reflection_table(model, cb, channel.frequencies)
-    v = np.conj(channel.h_irs_user) * channel.g_ap_irs
+    v = channel.cascade
 
     best = None
     for combo in itertools.product(range(cb.size), repeat=n):
         idx = np.asarray(combo, dtype=np.int64)
-        eff = channel.h_direct + (table[idx] * v).sum(axis=0)
-        gains = eff.real ** 2 + eff.imag ** 2
+        g = combined_gains(channel.h_direct, v, table[idx])
+        gains = g.real ** 2 + g.imag ** 2
         try:
             alloc = water_filling(gains, config.noise_variance, config.max_power)
         except PowerAllocationError:
             continue
-        rate = _rate_from_power_gains(alloc.p, gains, config.noise_variance)
+        rate = float(mean_rate(alloc.p, gains, config.noise_variance))
         if best is None or rate > best[0]:
             best = (rate, idx, alloc)
     if best is None:

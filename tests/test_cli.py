@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
 import numpy as np
+import pytest
 
 from irsofdm.cli import main
+from irsofdm.config import ConfigError, load_config
 
 TINY = """
 scenario: rate-vs-power
@@ -37,6 +39,21 @@ class TestValidateConfig:
 
     def test_broken_yaml(self, tmp_path):
         assert main(["validate-config", write(tmp_path, "a: [unclosed\n")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "codebook_bits: 9\n",
+        "codebook_bits: 0\n",
+        "power_sweep_dbm: [0, ten]\n",
+        "element_sweep: [16, 2.5]\n",
+        "seed: .nan\n",
+        "n_drops: .inf\n",
+    ])
+    def test_rejected_at_load_by_both_commands(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["validate-config", path]) == 2
+        assert main(["run", path, "--drops", "1"]) == 2
 
 
 class TestRun:

@@ -11,11 +11,9 @@ from irsofdm.optimizer import (
     alignment_init,
     alternating_optimize,
     average_rate,
-    effective_gain,
     effective_gains,
     exhaustive_search,
     ideal_design,
-    random_init,
     reflect_beamforming,
     water_filling,
 )
@@ -118,7 +116,7 @@ class TestEffectiveGain:
                                 np.ones((1, 1), dtype=complex), 0.0)
         phi = model_reflection(MODEL, CB.values[5], freqs[0])
         state = BeamformingState.from_indices([5], MODEL, CB, freqs)
-        np.testing.assert_allclose(effective_gain(ch, state, 0), complex(phi), rtol=0)
+        np.testing.assert_allclose(effective_gains(ch, state)[0], complex(phi), rtol=0)
 
     def test_matches_dense_recomputation(self):
         ch, _ = tiny_channel(4, 6, 12)
@@ -131,14 +129,6 @@ class TestEffectiveGain:
             for n in range(4):
                 want += (np.conj(ch.h_irs_user[n, k]) * state.phi[n, k] * ch.g_ap_irs[n, k])
             np.testing.assert_allclose(got[k], want, rtol=1e-12)
-
-    def test_subcarrier_bounds(self):
-        ch, _ = tiny_channel(2, 3, 13)
-        state = manual_state(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            effective_gain(ch, state, 3)
-        with pytest.raises(ValueError):
-            effective_gain(ch, state, -1)
 
     def test_shape_mismatch_rejected(self):
         ch, _ = tiny_channel(2, 3, 14)
@@ -203,12 +193,6 @@ class TestInits:
     def test_alignment_empty_surface(self):
         ch, _ = tiny_channel(0, 4, 20)
         assert alignment_init(ch, CB).size == 0
-
-    def test_random_init_in_range_and_deterministic(self):
-        a = random_init(50, CB, 4)
-        b = random_init(50, CB, 4)
-        assert np.array_equal(a, b)
-        assert a.min() >= 0 and a.max() < CB.size
 
 
 class TestReflectBeamforming:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 
 from .circuit import SingularCircuitError, UnreachablePhaseError
-from .config import SCENARIOS, ConfigError, load_config
+from .config import _TOP, SCENARIOS, ConfigError, _apply, load_config
 from .experiments import (
     run_convergence_trace,
     run_model_validation,
@@ -49,7 +48,10 @@ def build_parser():
 
 def _emit(result, out):
     if out:
-        write_result_csv(out, result)
+        try:
+            write_result_csv(out, result)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(result.header)
@@ -59,18 +61,9 @@ def _emit(result, out):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    overrides = {}
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.drops is not None:
-        overrides["n_drops"] = args.drops
-    if overrides:
-        try:
-            cfg = dataclasses.replace(cfg, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"invalid override: {exc}") from exc
+    overrides = {"scenario": args.scenario, "seed": args.seed, "n_drops": args.drops}
+    cfg = _apply(cfg, {k: v for k, v in overrides.items() if v is not None}, _TOP,
+                 "command-line overrides")
     out = args.out or cfg.output_csv
 
     if cfg.scenario == "model-validation":

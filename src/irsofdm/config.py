@@ -1,19 +1,22 @@
 """Experiment configuration: defaults, YAML loading, validation.
 
 Config files are nested YAML mappings mirroring the dataclasses below.  Keys
-carry their unit in the name (bandwidth_hz, max_power_dbm, d_ap_irs_m) and
-unknown keys are rejected so typos fail loudly instead of silently keeping a
-default.  Numeric values are coerced with float()/int(), which also accepts
-forms like "100e6" that YAML would otherwise read as strings.
+carry their unit in the name (bandwidth_hz, max_power_dbm, d_ap_irs_m).  The
+table `_TOP` and the section tables it names are the one list of keys; any
+other key is rejected so typos fail loudly instead of silently keeping a
+default.  Numbers must be finite (forms like "100e6", which YAML reads as
+strings, are accepted), integers are exact, and booleans are not numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import yaml
 
-from .channel import PathLossExponents, SystemConfig, dbm_to_watts
+from .channel import SystemConfig, dbm_to_watts
 from .circuit import CircuitParams
 from .reflection_model import ModelParams, codebook
 
@@ -79,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_drops < 1:
             raise ValueError("need at least one drop")
         if not len(self.power_sweep_dbm):
@@ -94,153 +99,112 @@ def default_config(scenario="rate-vs-power"):
     return ExperimentConfig(scenario=scenario)
 
 
-def _as_float(sec, key):
+def _number(value):
+    """A finite float; float() also takes strings such as "100e6"."""
     try:
-        return float(sec[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r} must be a number, got {sec[key]!r}") from exc
+        num = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        num = math.nan
+    if not math.isfinite(num):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return num
 
 
-def _as_int(sec, key):
-    val = _as_float(sec, key)
-    if not val.is_integer():
-        raise ConfigError(f"key {key!r} must be an integer, got {sec[key]!r}")
-    return int(val)
+def _integer(value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact, also beyond the 2**53 a float holds
+    num = _number(value)
+    if not num.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(num)
 
 
-def _as_tuple(sec, key, conv):
-    """A list value with every item converted by `conv` (_as_float or _as_int)."""
-    if not isinstance(sec[key], (list, tuple)):
-        raise ConfigError(f"{key} must be a list")
-    # each item under its own name, so an error says which one is bad
-    items = {f"{key}[{i}]": item for i, item in enumerate(sec[key])}
-    return tuple(conv(items, name) for name in items)
+def _watts(dbm):
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected by _number
+        return _number(dbm_to_watts(_number(dbm)))
 
 
-def _section(raw, name, allowed):
-    sec = raw.get(name) or {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = sorted(set(sec) - set(allowed))
+def _text(value):
+    return None if value is None else str(value)
+
+
+def _list_of(convert):
+    def convert_list(value):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list, got {value!r}")
+        return tuple(convert(item) for item in value)
+    return convert_list
+
+
+# YAML key -> (dataclass field, converter).  A converter that is itself a table
+# reads a nested section; a dotted field sets a field of a nested dataclass.
+_SYSTEM = {
+    "n_elements": ("n_elements", _integer), "n_subcarriers": ("n_subcarriers", _integer),
+    "bandwidth_hz": ("bandwidth", _number),
+    "center_frequency_hz": ("center_frequency", _number),
+    "max_power_dbm": ("max_power", _watts), "noise_dbm": ("noise_variance", _watts),
+    "d_ap_irs_m": ("d_ap_irs", _number), "d_irs_user_m": ("d_irs_user", _number),
+    "ref_attenuation_db": ("ref_attenuation_db", _number),
+    "pathloss_exponent_ap_irs": ("exponents.ap_irs", _number),
+    "pathloss_exponent_irs_user": ("exponents.irs_user", _number),
+    "pathloss_exponent_ap_user": ("exponents.ap_user", _number),
+    "n_taps": ("n_taps", _integer),
+}
+_CIRCUIT = {"l1_h": ("l1", _number), "l2_h": ("l2", _number), "r_ohm": ("r", _number),
+            "z0_ohm": ("z0", _number), "c_min_f": ("c_min", _number),
+            "c_max_f": ("c_max", _number)}
+_MODEL = {f.name: (f.name, _number) for f in dataclasses.fields(ModelParams)}
+_OPTIMIZER = {"eps_rate": ("eps_rate", _number), "max_outer": ("max_outer", _integer),
+              "max_sweeps": ("max_sweeps", _integer)}
+_VALIDATION = {"f_min_hz": ("f_min", _number), "f_max_hz": ("f_max", _number),
+               "n_points": ("n_points", _integer),
+               "target_phases_deg": ("target_phases_deg", _list_of(_number))}
+_TOP = {
+    "scenario": ("scenario", _text),
+    "seed": ("seed", _integer),
+    "n_drops": ("n_drops", _integer),
+    "output_csv": ("output_csv", _text),
+    "codebook_bits": ("codebook_bits", _integer),
+    "power_sweep_dbm": ("power_sweep_dbm", _list_of(_number)),
+    "element_sweep": ("element_sweep", _list_of(_integer)),
+    "system": ("system", _SYSTEM),
+    "circuit": ("circuit", _CIRCUIT),
+    "model": ("model", _MODEL),
+    "optimizer": ("optimizer", _OPTIMIZER),
+    "validation": ("validation", _VALIDATION),
+}
+
+
+def _apply(base, mapping, table, where="configuration root"):
+    """`base` with every key of `mapping` converted and set as `table` says."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(set(mapping) - set(table), key=str)
     if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
-    return sec
-
-
-_TOP_KEYS = ("scenario", "seed", "n_drops", "output_csv", "codebook_bits",
-             "power_sweep_dbm", "element_sweep",
-             "system", "circuit", "model", "optimizer", "validation")
-_SYSTEM_KEYS = ("n_elements", "n_subcarriers", "bandwidth_hz", "center_frequency_hz",
-                "max_power_dbm", "noise_dbm", "d_ap_irs_m", "d_irs_user_m",
-                "ref_attenuation_db", "pathloss_exponent_ap_irs",
-                "pathloss_exponent_irs_user", "pathloss_exponent_ap_user", "n_taps")
-_CIRCUIT_KEYS = ("l1_h", "l2_h", "r_ohm", "z0_ohm", "c_min_f", "c_max_f")
-_MODEL_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3")
-_OPTIMIZER_KEYS = ("eps_rate", "max_outer", "max_sweeps")
-_VALIDATION_KEYS = ("f_min_hz", "f_max_hz", "n_points", "target_phases_deg")
-
-
-def _build_system(raw):
-    sec = _section(raw, "system", _SYSTEM_KEYS)
-    base = _desk_system()
-    kwargs = {}
-    for key, arg, conv in (
-            ("n_elements", "n_elements", _as_int),
-            ("n_subcarriers", "n_subcarriers", _as_int),
-            ("bandwidth_hz", "bandwidth", _as_float),
-            ("center_frequency_hz", "center_frequency", _as_float),
-            ("d_ap_irs_m", "d_ap_irs", _as_float),
-            ("d_irs_user_m", "d_irs_user", _as_float),
-            ("ref_attenuation_db", "ref_attenuation_db", _as_float),
-            ("n_taps", "n_taps", _as_int)):
-        if key in sec:
-            kwargs[arg] = conv(sec, key)
-    if "max_power_dbm" in sec:
-        kwargs["max_power"] = float(dbm_to_watts(_as_float(sec, "max_power_dbm")))
-    if "noise_dbm" in sec:
-        kwargs["noise_variance"] = float(dbm_to_watts(_as_float(sec, "noise_dbm")))
-    exps = dataclasses.asdict(base.exponents)
-    for key, arg in (("pathloss_exponent_ap_irs", "ap_irs"),
-                     ("pathloss_exponent_irs_user", "irs_user"),
-                     ("pathloss_exponent_ap_user", "ap_user")):
-        if key in sec:
-            exps[arg] = _as_float(sec, key)
-    kwargs["exponents"] = PathLossExponents(**exps)
-    return dataclasses.replace(base, **kwargs)
-
-
-def _build_circuit(raw):
-    sec = _section(raw, "circuit", _CIRCUIT_KEYS)
-    kwargs = {}
-    for key, arg in (("l1_h", "l1"), ("l2_h", "l2"), ("r_ohm", "r"),
-                     ("z0_ohm", "z0"), ("c_min_f", "c_min"), ("c_max_f", "c_max")):
-        if key in sec:
-            kwargs[arg] = _as_float(sec, key)
-    return CircuitParams(**kwargs)
-
-
-def _build_model(raw):
-    sec = _section(raw, "model", _MODEL_KEYS)
-    return ModelParams(**{key: _as_float(sec, key) for key in sec})
-
-
-def _build_optimizer(raw):
-    sec = _section(raw, "optimizer", _OPTIMIZER_KEYS)
-    kwargs = {}
-    if "eps_rate" in sec:
-        kwargs["eps_rate"] = _as_float(sec, "eps_rate")
-    for key in ("max_outer", "max_sweeps"):
-        if key in sec:
-            kwargs[key] = _as_int(sec, key)
-    return OptimizerSettings(**kwargs)
-
-
-def _build_validation(raw):
-    sec = _section(raw, "validation", _VALIDATION_KEYS)
-    kwargs = {}
-    if "f_min_hz" in sec:
-        kwargs["f_min"] = _as_float(sec, "f_min_hz")
-    if "f_max_hz" in sec:
-        kwargs["f_max"] = _as_float(sec, "f_max_hz")
-    if "n_points" in sec:
-        kwargs["n_points"] = _as_int(sec, "n_points")
-    if "target_phases_deg" in sec:
-        kwargs["target_phases_deg"] = _as_tuple(sec, "target_phases_deg", _as_float)
-    return ValidationSettings(**kwargs)
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    changes = {}
+    for key, value in mapping.items():
+        field, convert = table[key]
+        if isinstance(convert, dict):
+            value = _apply(getattr(base, field), value or {}, convert, f"section {key!r}")
+        else:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r} in {where} {exc}") from exc
+        head, _, rest = field.partition(".")
+        if rest:
+            value = dataclasses.replace(changes.get(head, getattr(base, head)), **{rest: value})
+        changes[head] = value
+    try:
+        return dataclasses.replace(base, **changes)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def config_from_dict(raw):
     """Build an ExperimentConfig from a nested mapping of overrides."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    unknown = sorted(set(raw) - set(_TOP_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {unknown}")
-    kwargs = {}
-    if "scenario" in raw:
-        kwargs["scenario"] = str(raw["scenario"])
-    if "seed" in raw:
-        kwargs["seed"] = _as_int(raw, "seed")
-    if "n_drops" in raw:
-        kwargs["n_drops"] = _as_int(raw, "n_drops")
-    if "output_csv" in raw and raw["output_csv"] is not None:
-        kwargs["output_csv"] = str(raw["output_csv"])
-    if "codebook_bits" in raw:
-        kwargs["codebook_bits"] = _as_int(raw, "codebook_bits")
-    if "power_sweep_dbm" in raw:
-        kwargs["power_sweep_dbm"] = _as_tuple(raw, "power_sweep_dbm", _as_float)
-    if "element_sweep" in raw:
-        kwargs["element_sweep"] = _as_tuple(raw, "element_sweep", _as_int)
-    try:
-        return ExperimentConfig(
-            system=_build_system(raw),
-            circuit=_build_circuit(raw),
-            model=_build_model(raw),
-            optimizer=_build_optimizer(raw),
-            validation=_build_validation(raw),
-            **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return _apply(ExperimentConfig(), raw, _TOP)
 
 
 def load_config(path):

@@ -151,7 +151,9 @@ def run_rate_vs_power(cfg):
     """Mean rate of every scheme across a transmit power sweep.
 
     The same channel drops are reused at every power, so scheme curves move
-    together and small mean differences are paired comparisons.
+    together and small mean differences are paired comparisons.  Each point
+    of `cfg.power_sweep_dbm` is the transmit budget there;
+    `cfg.system.max_power` is not used.
     """
     cb = codebook(cfg.codebook_bits)
     values = tuple(float(v) for v in cfg.power_sweep_dbm)

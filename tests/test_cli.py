@@ -47,6 +47,15 @@ class TestValidateConfig:
         "element_sweep: [16, 2.5]\n",
         "seed: .nan\n",
         "n_drops: .inf\n",
+        "seed: -1\n",
+        "system: {noise_dbm: .nan}\n",
+        "system: {max_power_dbm: .inf}\n",
+        "system: {max_power_dbm: 1.0e5}\n",
+        "optimizer: {eps_rate: .nan}\n",
+        "circuit: {r_ohm: .nan}\n",
+        "power_sweep_dbm: [.inf]\n",
+        "validation: {target_phases_deg: [.nan]}\n",
+        "1: a\nfoo: b\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -91,8 +100,20 @@ class TestRun:
         assert main(["run", cfg, "--seed", "9", "--out", str(out_b)]) == 0
         assert out_a.read_text() != out_b.read_text()
 
-    def test_invalid_override_is_config_error(self, tmp_path):
-        assert main(["run", write(tmp_path, TINY), "--drops", "0"]) == 2
+    @pytest.mark.parametrize("override", [["--drops", "0"], ["--seed", "-1"]],
+                             ids=["drops-0", "seed-negative"])
+    def test_invalid_override_is_config_error(self, tmp_path, override):
+        assert main(["run", write(tmp_path, TINY), *override]) == 2
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv"
+        if where == "flag":
+            args = ["run", write(tmp_path, TINY), "--out", str(out)]
+        else:
+            args = ["run", write(tmp_path, TINY + f"output_csv: {out}\n")]
+        assert main(args) == 2
+        assert "configuration error: cannot write" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         assert main(["run", write(tmp_path, "power_sweep_dbm: []\n")]) == 2

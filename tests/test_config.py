@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from irsofdm import config
 from irsofdm.config import (
     ConfigError,
     ExperimentConfig,
@@ -128,3 +129,50 @@ class TestFromDict:
             ExperimentConfig(n_drops=0)
         with pytest.raises(ValueError):
             ExperimentConfig(element_sweep=(-1, 4))
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed=-1)
+
+
+def _numeric_keys(table=config._TOP, path=()):
+    """Key paths of every non-text leaf of the loader tables."""
+    for key, (_, convert) in table.items():
+        if isinstance(convert, dict):
+            yield from _numeric_keys(convert, path + (key,))
+        elif convert is not config._text:
+            yield path + (key,)
+
+
+def _nested(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("path", list(_numeric_keys()), ids=".".join)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_every_numeric_key_rejects_non_finite(self, path, bad):
+        # a list-valued key must reject the bad value as an item too
+        for value in (bad, [bad]):
+            with pytest.raises(ConfigError):
+                config_from_dict(_nested(path, value))
+
+    def test_integers_are_exact(self, tmp_path):
+        cfg = load_config(write(tmp_path, ("seed: 9007199254740993\n"
+                                           "element_sweep: [9007199254740993]\n")))
+        assert cfg.seed == 9007199254740993
+        assert cfg.element_sweep == (9007199254740993,)
+        # whole floats and numeric strings still load as integers
+        assert load_config(write(tmp_path, "n_drops: 2.0\n")).n_drops == 2
+        assert load_config(write(tmp_path, "n_drops: '1e2'\n")).n_drops == 100
+
+    @pytest.mark.parametrize("text", [
+        "n_drops: true\n",
+        "seed: false\n",
+        "element_sweep: [16, true]\n",
+        "system: {max_power_dbm: true}\n",
+        "circuit: {r_ohm: false}\n",
+    ])
+    def test_booleans_are_not_numbers(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load_config(write(tmp_path, text))

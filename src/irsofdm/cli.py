@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .circuit import SingularCircuitError, UnreachablePhaseError
@@ -46,6 +47,13 @@ def build_parser():
     return parser
 
 
+def _check_writable(out):
+    """Fail before simulating if `out` cannot be written; creates and truncates nothing."""
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write {out}: not a file in an existing writable directory")
+
+
 def _emit(result, out):
     if out:
         try:
@@ -65,6 +73,8 @@ def _cmd_run(args):
     cfg = _apply(cfg, {k: v for k, v in overrides.items() if v is not None}, _TOP,
                  "command-line overrides")
     out = args.out or cfg.output_csv
+    if out:
+        _check_writable(out)
 
     if cfg.scenario == "model-validation":
         result = run_model_validation(cfg)

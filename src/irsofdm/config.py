@@ -27,6 +27,12 @@ class ConfigError(Exception):
 
 SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergence-trace")
 
+# Largest working array a config may ask for, in values.  The largest per drop is
+# the coordinate-descent kernel's (N, 2**bits, K) complex candidate table (2**26
+# of them is 1 GiB); N * n_taps * K also bounds the channel draw's (N, n_taps)
+# and (n_taps, K) arrays.  The model-validation grid is capped on its own.
+MAX_WORKING_VALUES = 2 ** 26
+
 
 @dataclasses.dataclass(frozen=True)
 class OptimizerSettings:
@@ -53,8 +59,8 @@ class ValidationSettings:
     def __post_init__(self):
         if not 0.0 < self.f_min <= self.f_max:
             raise ValueError("need 0 < f_min <= f_max")
-        if self.n_points < 1:
-            raise ValueError("need at least one grid point")
+        if not 1 <= self.n_points <= MAX_WORKING_VALUES:
+            raise ValueError(f"need 1 to {MAX_WORKING_VALUES} grid points")
         if len(self.target_phases_deg) == 0:
             raise ValueError("need at least one target phase")
 
@@ -93,6 +99,13 @@ class ExperimentConfig:
         if any(n < 0 for n in self.element_sweep):
             raise ValueError("element counts cannot be negative")
         codebook(self.codebook_bits)  # raises ValueError outside 1..8 bits
+        n_max = max(1, self.system.n_elements, *self.element_sweep)
+        per_element = max(2 ** self.codebook_bits, self.system.n_taps)
+        size = n_max * per_element * self.system.n_subcarriers
+        if size > MAX_WORKING_VALUES:
+            raise ValueError(f"{n_max} elements x {per_element} codebook entries or taps x "
+                             f"{self.system.n_subcarriers} subcarriers = {size} values "
+                             f"exceed the cap of {MAX_WORKING_VALUES}")
 
 
 def default_config(scenario="rate-vs-power"):

@@ -8,7 +8,10 @@ the design objective is the mean of log2(1 + p_k |gain_k|^2 / sigma^2).
 The hot loop of reflect beamforming visits the elements in ascending order
 and, for each, rescans the whole phase codebook against the current residual
 field.  Cost per sweep is N * S * K log-rate evaluations, which dominates the
-Monte Carlo experiments.  Ties go to the lowest codebook index.
+Monte Carlo experiments.  Ties go to the lowest codebook index.  Each call
+first builds the (N, S, K) table of every element's contribution under every
+codebook entry, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
+element update only adds rows of it; the config loader caps N * S * K.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ def mean_rate(p, gains_sq, noise_variance):
     `gains_sq` holds the squared gain magnitudes |h|^2; leading axes, such as
     one row per codebook candidate, are kept.
     """
-    return np.mean(np.log2(1.0 + p * gains_sq / noise_variance), axis=-1)
+    terms = np.log2(1.0 + p * gains_sq / noise_variance)
+    return terms.sum(axis=-1) / terms.shape[-1]
 
 
 def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices,
@@ -80,18 +84,20 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     update_rates = []
     sweep_rates = []
     converged = False
+    vphi = v[:, None, :] * phi_table  # (N, S, K): every element under every entry
     base = combined_gains(h_d, v, phi_table[indices])
     for _ in range(int(max_sweeps)):
         changed = False
         for n in range(n_el):
-            partial = base - v[n] * phi_table[indices[n]]
-            cand = partial[None, :] + v[n][None, :] * phi_table
+            vphi_n = vphi[n]
+            partial = base - vphi_n[indices[n]]
+            cand = partial + vphi_n
             rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
-            s_best = int(np.argmax(rates))  # first max, lowest index on ties
+            s_best = int(rates.argmax())  # first max, lowest index on ties
             if s_best != indices[n]:
                 changed = True
                 indices[n] = s_best
-            base = partial + v[n] * phi_table[s_best]
+            base = partial + vphi_n[s_best]
             update_rates.append(float(rates[s_best]))
         # rebuild from scratch so incremental updates cannot drift
         base = combined_gains(h_d, v, phi_table[indices])

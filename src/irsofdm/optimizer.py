@@ -101,38 +101,40 @@ def average_rate(channel, beam, power, noise_variance):
     return float(mean_rate(p, g.real ** 2 + g.imag ** 2, noise_variance))
 
 
-def water_filling(gains, noise_variance, total_power, n_iter=100):
+def water_filling(gains, noise_variance, total_power):
     """Water-filling powers p_k = max(0, mu - sigma^2 / g_k) meeting the budget.
 
-    `gains` are the squared channel magnitudes |h_k|^2.  Subcarriers with zero
-    gain get zero power.  The water level mu is found by bisection; after 100
-    halvings of an interval of width P*K the budget error is far below the
-    1e-9 relative target.
+    `gains` are the squared channel magnitudes |h_k|^2.  The solution is exact
+    and finite (Palomar & Fonollosa, "Practical algorithms for a family of
+    waterfilling solutions", IEEE TSP 2005; Boyd & Vandenberghe, Convex
+    Optimization, Ex. 5.2): with the finite ratios r = sigma^2 / g sorted
+    ascending, the level of the m best subcarriers is (P + r_1 + ... + r_m) / m,
+    and mu is the level of the largest m whose level still exceeds r_m.
+    Subcarriers with zero gain, or a gain so small that r overflows, get zero
+    power.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
         raise ValueError("gains must be a nonempty 1-D array")
-    if np.any(gains < 0.0) or not np.all(np.isfinite(gains)):
+    if (gains < 0.0).any() or not np.isfinite(gains).all():
         raise ValueError("gains must be finite and nonnegative")
     if noise_variance <= 0.0:
         raise ValueError("noise variance must be positive")
     if total_power <= 0.0:
         raise ValueError("power budget must be positive")
-    if not np.any(gains > 0.0):
-        raise PowerAllocationError("all subcarrier gains are zero, nothing to allocate to")
 
-    with np.errstate(divide="ignore"):
-        ratios = noise_variance / gains  # inf where the gain is zero
-    lo = float(np.min(ratios))
-    hi = lo + total_power * gains.size
-    for _ in range(n_iter):
-        mu = 0.5 * (lo + hi)
-        if np.sum(np.maximum(0.0, mu - ratios)) > total_power:
-            hi = mu
-        else:
-            lo = mu
-    p = np.maximum(0.0, 0.5 * (lo + hi) - ratios)
-    return PowerAllocation(p)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = noise_variance / gains  # inf where the gain is zero or too small to invert
+    r = ratios[np.isfinite(ratios)]
+    if not r.size:
+        raise PowerAllocationError("all subcarrier gains are zero or too small to invert, "
+                                   "nothing to allocate to")
+    r.sort()
+    levels = (total_power + r.cumsum()) / np.arange(1, r.size + 1)
+    active = (levels > r).nonzero()[0]
+    # no level clears r_1 only when P is below the float spacing of r_1
+    mu = levels[active[-1]] if active.size else r[0]
+    return PowerAllocation(np.maximum(0.0, mu - ratios))
 
 
 def alignment_init(channel, cb):

@@ -23,7 +23,6 @@ import csv
 import dataclasses
 
 import numpy as np
-import scipy.optimize
 
 from .circuit import wrap_phase
 
@@ -223,6 +222,8 @@ def fit_model(samples, init=None, *, amplitude_weight=4.0, n_restarts=5,
         The fitted coefficients (or `init` if no restart improved on it, with
         the report's no_improvement flag set) and per-curve error maxima.
     """
+    import scipy.optimize  # about 0.7 s to import, and only the fit needs it
+
     samples = list(samples)
     if not samples:
         raise ValueError("no fit samples given")

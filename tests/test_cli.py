@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import irsofdm
 from irsofdm.cli import main
 from irsofdm.config import ConfigError, load_config
 
@@ -56,6 +62,14 @@ class TestValidateConfig:
         "power_sweep_dbm: [.inf]\n",
         "validation: {target_phases_deg: [.nan]}\n",
         "1: a\nfoo: b\n",
+        "system: {n_elements: 1000000000000}\n",
+        # one step beyond the size cap; 2048 x 8 x 4096 is the cap itself
+        "system: {n_elements: 2049, n_subcarriers: 4096}\n",
+        "element_sweep: [16, 2049]\nsystem: {n_subcarriers: 4096}\n",
+        "codebook_bits: 4\nsystem: {n_elements: 2048, n_subcarriers: 4096}\n",
+        "system: {n_elements: 2048, n_subcarriers: 4096, n_taps: 9}\n",
+        "system: {n_elements: 0, n_subcarriers: 1000000000000}\nelement_sweep: [0]\n",
+        "validation: {n_points: 67108865}\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -115,6 +129,31 @@ class TestRun:
         assert main(args) == 2
         assert "configuration error: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_simulating(self, tmp_path, monkeypatch, target):
+        calls = []
+
+        def never(cfg):
+            calls.append(cfg)
+            raise AssertionError("simulated although the output cannot be written")
+
+        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", never)
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        assert main(["run", write(tmp_path, TINY), "--out", str(out)]) == 2
+        assert calls == []
+
+    def test_existing_output_is_left_alone_until_written(self, tmp_path, monkeypatch):
+        out = tmp_path / "rates.csv"
+        out.write_text("old\n")
+
+        def check_untouched(cfg):
+            assert out.read_text() == "old\n"
+            raise FloatingPointError("stop after the check")
+
+        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", check_untouched)
+        assert main(["run", write(tmp_path, TINY), "--out", str(out)]) == 3
+        assert out.read_text() == "old\n"
+
     def test_bad_config_file(self, tmp_path):
         assert main(["run", write(tmp_path, "power_sweep_dbm: []\n")]) == 2
 
@@ -146,3 +185,13 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
         assert lines[1].split(",")[0] == "n_elements"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize takes most of a fresh start-up and only fit_model uses it
+    src = str(Path(irsofdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, irsofdm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -132,6 +132,13 @@ class TestFromDict:
         with pytest.raises(ValueError):
             ExperimentConfig(seed=-1)
 
+    def test_size_cap_is_inclusive(self):
+        # the configs one step beyond are in test_cli's rejected-at-load cases
+        assert 2048 * 8 * 4096 == config.MAX_WORKING_VALUES
+        cfg = config_from_dict({"system": {"n_elements": 2048, "n_subcarriers": 4096},
+                                "validation": {"n_points": config.MAX_WORKING_VALUES}})
+        assert cfg.system.n_elements == 2048
+
 
 def _numeric_keys(table=config._TOP, path=()):
     """Key paths of every non-text leaf of the loader tables."""
@@ -158,10 +165,11 @@ class TestStrictNumbers:
                 config_from_dict(_nested(path, value))
 
     def test_integers_are_exact(self, tmp_path):
-        cfg = load_config(write(tmp_path, ("seed: 9007199254740993\n"
-                                           "element_sweep: [9007199254740993]\n")))
+        cfg = load_config(write(tmp_path, "seed: 9007199254740993\n"))
         assert cfg.seed == 9007199254740993
-        assert cfg.element_sweep == (9007199254740993,)
+        # a list item stays exact too: the size cap quotes it unrounded
+        with pytest.raises(ConfigError, match="9007199254740993 elements"):
+            load_config(write(tmp_path, "element_sweep: [9007199254740993]\n"))
         # whole floats and numeric strings still load as integers
         assert load_config(write(tmp_path, "n_drops: 2.0\n")).n_drops == 2
         assert load_config(write(tmp_path, "n_drops: '1e2'\n")).n_drops == 100

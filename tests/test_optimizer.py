@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsofdm.channel import ChannelRealization, SystemConfig, generate_channels, subcarrier_frequencies
 from irsofdm.optimizer import (
@@ -21,6 +23,37 @@ from irsofdm.reflection_model import ModelParams, codebook, model_reflection, re
 
 MODEL = ModelParams()
 CB = codebook(3)
+
+
+@st.composite
+def water_filling_instances(draw):
+    """(gains, sigma^2, P) with sigma^2 and P over many decades and some zero gains.
+
+    Each ratio sigma^2 / g lies within 1e-4 P to 1e3 P; far above that, p is
+    a difference of nearly equal numbers and float granularity limits it.
+    """
+    sigma2 = 10.0 ** draw(st.floats(-16.0, -2.0))
+    total = 10.0 ** draw(st.floats(-4.0, 2.0))
+    exponent = st.floats(-4.0, 3.0)
+    rel = [draw(exponent)] + draw(st.lists(st.one_of(st.none(), exponent), max_size=63))
+    rel = draw(st.permutations(rel))
+    gains = np.array([0.0 if u is None else sigma2 / (total * 10.0 ** u) for u in rel])
+    return gains, sigma2, total
+
+
+def bisection_water_filling(gains, noise_variance, total_power, n_iter=100):
+    """The former solver: bisect on the water level, kept as a reference."""
+    with np.errstate(divide="ignore"):
+        ratios = noise_variance / gains
+    lo = float(np.min(ratios))
+    hi = lo + total_power * gains.size
+    for _ in range(n_iter):
+        mu = 0.5 * (lo + hi)
+        if np.sum(np.maximum(0.0, mu - ratios)) > total_power:
+            hi = mu
+        else:
+            lo = mu
+    return np.maximum(0.0, 0.5 * (lo + hi) - ratios)
 
 
 def tiny_channel(n_el, n_sc, seed, angle=0.8):
@@ -85,9 +118,45 @@ class TestWaterFilling:
             assert np.all(ratios[~active] >= mu * (1.0 - 1e-6))
             assert np.all(p[gains == 0.0] == 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(water_filling_instances())
+    def test_kkt_budget_and_zero_gains(self, instance):
+        gains, sigma2, total = instance
+        p = water_filling(gains, sigma2, total).p
+        with np.errstate(divide="ignore"):
+            ratios = sigma2 / gains
+        active = p > 0.0
+        assert np.any(active)
+        level = p[active] + ratios[active]
+        mu = level.max()
+        # one water level on the active subcarriers, the inactive ones at or above it
+        assert np.all(np.abs(level - mu) <= 1e-12 * mu)
+        assert np.all(ratios[~active] >= mu * (1.0 - 1e-12))
+        assert abs(p.sum() - total) <= 1e-12 * total
+        assert np.all(p[gains == 0.0] == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(water_filling_instances())
+    def test_matches_bisection_reference(self, instance):
+        # both carry rounding of order K ulp of the largest active ratio, at most 1e3 P
+        gains, sigma2, total = instance
+        p = water_filling(gains, sigma2, total).p
+        np.testing.assert_allclose(p, bisection_water_filling(gains, sigma2, total),
+                                   rtol=0.0, atol=1e-12 * total)
+
+    def test_budget_below_float_spacing_gives_zero_power(self):
+        # P + 1 rounds to 1, so no level rises above the only ratio
+        assert water_filling(np.array([1.0, 0.0]), 1.0, 1e-20).p.tolist() == [0.0, 0.0]
+
     def test_all_zero_gains_fail(self):
         with pytest.raises(PowerAllocationError):
             water_filling(np.zeros(4), 1e-14, 1.0)
+
+    def test_gains_too_small_to_invert_count_as_zero(self):
+        # 1e-14 / 1e-323 overflows to inf: no power, and infeasible when all are so
+        assert water_filling(np.array([1e-323, 1e-14]), 1e-14, 1.0).p.tolist() == [0.0, 1.0]
+        with pytest.raises(PowerAllocationError):
+            water_filling(np.array([1e-323, 0.0]), 1e-14, 1.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from .circuit import (
     CircuitParams,
     SingularCircuitError,
     UnreachablePhaseError,
-    PolarReflection,
     wrap_phase,
     impedance,
     reflection,
@@ -33,8 +32,6 @@ from .reflection_model import (
     model_reflection,
     reflection_table,
     fit_model,
-    read_fit_samples,
-    write_fit_samples,
 )
 from .channel import (
     PathLossExponents,
@@ -49,6 +46,7 @@ from .channel import (
     take_elements,
 )
 from .optimizer import (
+    OptimizerSettings,
     PowerAllocation,
     PowerAllocationError,
     BeamformingState,
@@ -57,7 +55,6 @@ from .optimizer import (
     average_rate,
     water_filling,
     alignment_init,
-    reflect_beamforming,
     alternating_optimize,
     ideal_design,
     exhaustive_search,

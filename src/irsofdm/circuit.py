@@ -100,16 +100,11 @@ def reflection(params, c, f):
     return (z - params.z0) / denom
 
 
-@dataclasses.dataclass(frozen=True)
-class PolarReflection:
-    amplitude: float
-    phase: float  # radians in [-pi, pi)
-
-
 def sweep_reflection(params, c, f_grid):
     """Reflection amplitude/phase of a fixed capacitance over a frequency grid.
 
-    Returns a list of (frequency, PolarReflection) pairs in grid order.
+    Returns (amplitude, phase) arrays in grid order, the phase wrapped to
+    [-pi, pi) radians.
     """
     f_grid = np.asarray(f_grid, dtype=float)
     try:
@@ -123,20 +118,19 @@ def sweep_reflection(params, c, f_grid):
                 raise SingularCircuitError(f"impedance non-finite at f = {f!r} Hz") from exc
         raise
     phi = np.atleast_1d(phi)
-    amps = np.abs(phi)
-    phases = wrap_phase(np.angle(phi))
-    return [
-        (float(f), PolarReflection(float(a), float(p)))
-        for f, a, p in zip(np.atleast_1d(f_grid), amps, phases)
-    ]
+    return np.abs(phi), wrap_phase(np.angle(phi))
+
+
+# solve_capacitance: points of the capacitance scan, then bisection steps
+_SCAN_POINTS = 512
+_BISECT_STEPS = 60
 
 
 def _phase_error(params, c, f_c, target_phase):
     return float(wrap_phase(np.angle(reflection(params, c, f_c)) - target_phase))
 
 
-def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0),
-                      n_grid=512, n_bisect=60):
+def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0)):
     """Find the capacitance whose reflection phase at `f_c` hits `target_phase`.
 
     Scans a uniform grid over [c_min, c_max], then bisects the sign change of
@@ -154,7 +148,7 @@ def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0),
     if f_c <= 0.0:
         raise ValueError("design frequency must be positive")
 
-    grid = np.linspace(params.c_min, params.c_max, n_grid)
+    grid = np.linspace(params.c_min, params.c_max, _SCAN_POINTS)
     err = wrap_phase(np.angle(reflection(params, grid, f_c)) - target_phase)
     dist = np.abs(err)
     i = int(np.argmin(dist))
@@ -162,7 +156,7 @@ def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0),
     best_d = float(dist[i])
 
     lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, n_grid - 1)])
+    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     e_lo = _phase_error(params, lo, f_c, target_phase)
     e_hi = _phase_error(params, hi, f_c, target_phase)
     if e_lo == 0.0:
@@ -170,7 +164,7 @@ def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0),
     elif e_hi == 0.0:
         best_c, best_d = hi, 0.0
     elif np.sign(e_lo) != np.sign(e_hi):
-        for _ in range(n_bisect):
+        for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             e_mid = _phase_error(params, mid, f_c, target_phase)
             if e_mid == 0.0:

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -20,6 +19,7 @@ from .experiments import (
     run_model_validation,
     run_rate_vs_elements,
     run_rate_vs_power,
+    write_csv_rows,
     write_result_csv,
 )
 from .optimizer import PowerAllocationError
@@ -61,10 +61,7 @@ def _emit(result, out):
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(result.header)
-        for row in result.rows():
-            writer.writerow([str(v) for v in row])
+        write_csv_rows(sys.stdout, result)
 
 
 def _cmd_run(args):

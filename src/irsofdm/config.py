@@ -18,6 +18,7 @@ import yaml
 
 from .channel import SystemConfig, dbm_to_watts
 from .circuit import CircuitParams
+from .optimizer import OptimizerSettings
 from .reflection_model import ModelParams, codebook
 
 
@@ -30,21 +31,9 @@ SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergen
 # Largest working array a config may ask for, in values.  The largest per drop is
 # the coordinate-descent kernel's (N, 2**bits, K) complex candidate table (2**26
 # of them is 1 GiB); N * n_taps * K also bounds the channel draw's (N, n_taps)
-# and (n_taps, K) arrays.  The model-validation grid is capped on its own.
+# and (n_taps, K) arrays.  The model-validation grid and the rate sweeps'
+# per-drop results (n_drops per sweep point and scheme) are capped on their own.
 MAX_WORKING_VALUES = 2 ** 26
-
-
-@dataclasses.dataclass(frozen=True)
-class OptimizerSettings:
-    eps_rate: float = 1e-4   # outer-loop improvement threshold, bit/s/Hz
-    max_outer: int = 30
-    max_sweeps: int = 20
-
-    def __post_init__(self):
-        if self.eps_rate <= 0.0:
-            raise ValueError("eps_rate must be positive")
-        if self.max_outer < 1 or self.max_sweeps < 1:
-            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,6 +88,11 @@ class ExperimentConfig:
         if any(n < 0 for n in self.element_sweep):
             raise ValueError("element counts cannot be negative")
         codebook(self.codebook_bits)  # raises ValueError outside 1..8 bits
+        n_points = max(len(self.power_sweep_dbm), len(self.element_sweep))
+        results = self.n_drops * n_points * 3  # practical, ideal and no-IRS rates
+        if results > MAX_WORKING_VALUES:
+            raise ValueError(f"{self.n_drops} drops x {n_points} sweep points x 3 schemes = "
+                             f"{results} rates exceed the cap of {MAX_WORKING_VALUES}")
         n_max = max(1, self.system.n_elements, *self.element_sweep)
         per_element = max(2 ** self.codebook_bits, self.system.n_taps)
         size = n_max * per_element * self.system.n_subcarriers

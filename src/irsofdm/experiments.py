@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .channel import dbm_to_watts, generate_channels, take_elements
-from .circuit import UnreachablePhaseError, reflection, solve_capacitance, wrap_phase
+from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
 from .kernels import mean_rate
 from .optimizer import alternating_optimize, effective_gains, ideal_design, water_filling
 from .reflection_model import codebook, model_amplitude, model_phase
@@ -46,12 +46,9 @@ def simulate_drop_rates(channel, model, cb, system, settings):
     no_irs: water-filling over the direct link only.
     """
     sigma2 = system.noise_variance
-    _, _, r_practical, _ = alternating_optimize(
-        channel, model, cb, system, eps_rate=settings.eps_rate,
-        max_outer=settings.max_outer, max_sweeps=settings.max_sweeps)
+    _, _, r_practical, _ = alternating_optimize(channel, model, cb, system, settings)
 
-    state = ideal_design(channel, cb, system, model, eps_rate=settings.eps_rate,
-                         max_outer=settings.max_outer, max_sweeps=settings.max_sweeps)
+    state = ideal_design(channel, model, cb, system, settings)
     eff = effective_gains(channel, state)
     gains = eff.real ** 2 + eff.imag ** 2
     alloc = water_filling(gains, sigma2, system.max_power)
@@ -115,10 +112,9 @@ def run_model_validation(cfg):
         except UnreachablePhaseError as exc:
             errors.append((float(deg), str(exc)))
             continue
-        phi = reflection(cfg.circuit, cap, grid)
+        amplitude, phase = sweep_reflection(cfg.circuit, cap, grid)
         curves.append(ValidationCurve(
-            float(deg), cap, grid,
-            np.asarray(wrap_phase(np.angle(phi))), np.abs(phi),
+            float(deg), cap, grid, phase, amplitude,
             np.asarray(model_phase(cfg.model, x, grid)),
             np.asarray(model_amplitude(cfg.model, x, grid))))
     return ModelValidationResult(curves, errors)
@@ -205,17 +201,20 @@ def run_convergence_trace(cfg):
     """Objective trace of one alternating optimization on drop 0."""
     cb = codebook(cfg.codebook_bits)
     channel = drop_channel(cfg.system, cfg.seed, 0)
-    opt = cfg.optimizer
-    _, _, rate, trace = alternating_optimize(
-        channel, cfg.model, cb, cfg.system, eps_rate=opt.eps_rate,
-        max_outer=opt.max_outer, max_sweeps=opt.max_sweeps)
+    _, _, rate, trace = alternating_optimize(channel, cfg.model, cb, cfg.system, cfg.optimizer)
     return TraceResult(trace, rate)
 
 
+def write_csv_rows(fh, result):
+    """Write a scenario result's header and rows to the open text file `fh`
+    as CSV with plain str() number formatting."""
+    writer = csv.writer(fh)
+    writer.writerow(result.header)
+    for row in result.rows():
+        writer.writerow([str(v) for v in row])
+
+
 def write_result_csv(path, result):
-    """Write a scenario result to CSV with plain str() number formatting."""
+    """Write a scenario result to the CSV file `path`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.header)
-        for row in result.rows():
-            writer.writerow([str(v) for v in row])
+        write_csv_rows(fh, result)

@@ -19,13 +19,31 @@ import itertools
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .kernels import combined_gains, coordinate_descent_sweeps, mean_rate
 from .reflection_model import reflection_table
 
 
+# exhaustive_search refuses instances with more codebook assignments than this
+_ENUMERATION_CAP = 1_000_000
+
+
 class PowerAllocationError(ValueError):
     """Power allocation is infeasible (no subcarrier with positive gain)."""
+
+
+@dataclasses.dataclass(frozen=True)
+class OptimizerSettings:
+    """Stopping rules of the alternating design loop."""
+
+    eps_rate: float = 1e-4   # outer-loop improvement threshold, bit/s/Hz
+    max_outer: int = 30
+    max_sweeps: int = 20
+
+    def __post_init__(self):
+        if self.eps_rate <= 0.0:
+            raise ValueError("eps_rate must be positive")
+        if self.max_outer < 1 or self.max_sweeps < 1:
+            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -150,44 +168,27 @@ def alignment_init(channel, cb):
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def reflect_beamforming(channel, power, noise_variance, model, cb, init_indices=None, *,
-                        max_sweeps=20):
-    """Coordinate-descent phase selection for a fixed power allocation.
+def _alternate(channel, cb, table, config, settings):
+    """Alternating loop shared by the practical and ideal designs.
 
-    Sweeps the elements in ascending order until a full sweep changes no
-    index (a coordinate-wise optimum) or `max_sweeps` is exhausted.  Returns
-    the final state and a trace with one objective per element update.
+    `table` (S, K) is the reflection each codebook entry is designed with;
+    the loop starts from uniform power and the center-subcarrier alignment.
     """
-    p = power.p if isinstance(power, PowerAllocation) else np.asarray(power, dtype=float)
-    table = reflection_table(model, cb, channel.frequencies)
-    if init_indices is None:
-        init_indices = alignment_init(channel, cb)
-    res = coordinate_descent_sweeps(channel.cascade, channel.h_direct, table, p, noise_variance,
-                                    init_indices, max_sweeps=max_sweeps)
-    state = BeamformingState(res.indices, table[res.indices])
-    trace = OptimizationTrace(["reflect"] * res.update_rates.size, res.update_rates,
-                              int(res.sweep_rates.size), res.converged)
-    return state, trace
-
-
-def _alternate(channel, table, total_power, noise_variance, init_indices, *,
-               eps_rate=1e-4, max_outer=30, max_sweeps=20):
-    """Alternating loop shared by the practical and ideal designs."""
     n_sc = channel.n_subcarriers
     v = channel.cascade
-    indices = np.asarray(init_indices, dtype=np.int64).copy()
-    p = np.full(n_sc, total_power / n_sc)
+    indices = alignment_init(channel, cb)
+    p = np.full(n_sc, config.max_power / n_sc)
 
     stages = ["init"]
     g = combined_gains(channel.h_direct, v, table[indices])
-    objectives = [float(mean_rate(p, g.real ** 2 + g.imag ** 2, noise_variance))]
+    objectives = [float(mean_rate(p, g.real ** 2 + g.imag ** 2, config.noise_variance))]
     r_prev = objectives[0]
     sweeps_total = 0
     converged = False
     alloc = PowerAllocation(p)
-    for _ in range(max_outer):
-        res = coordinate_descent_sweeps(v, channel.h_direct, table, p, noise_variance,
-                                        indices, max_sweeps=max_sweeps)
+    for _ in range(settings.max_outer):
+        res = coordinate_descent_sweeps(v, channel.h_direct, table, p, config.noise_variance,
+                                        indices, max_sweeps=settings.max_sweeps)
         indices = res.indices
         stages.extend(["reflect"] * res.update_rates.size)
         objectives.extend(res.update_rates.tolist())
@@ -195,12 +196,12 @@ def _alternate(channel, table, total_power, noise_variance, init_indices, *,
 
         g = combined_gains(channel.h_direct, v, table[indices])
         gains = g.real ** 2 + g.imag ** 2
-        alloc = water_filling(gains, noise_variance, total_power)
+        alloc = water_filling(gains, config.noise_variance, config.max_power)
         p = alloc.p
-        r_now = float(mean_rate(p, gains, noise_variance))
+        r_now = float(mean_rate(p, gains, config.noise_variance))
         stages.append("power")
         objectives.append(r_now)
-        if r_now - r_prev < eps_rate:
+        if r_now - r_prev < settings.eps_rate:
             r_prev = r_now
             converged = True
             break
@@ -209,27 +210,21 @@ def _alternate(channel, table, total_power, noise_variance, init_indices, *,
     return indices, alloc, r_prev, trace
 
 
-def alternating_optimize(channel, model, cb, config, init_indices=None, *,
-                         eps_rate=1e-4, max_outer=30, max_sweeps=20):
+def alternating_optimize(channel, model, cb, config, settings=OptimizerSettings()):
     """Joint design: alternate codebook coordinate descent and water-filling.
 
-    Starts from uniform power and the center-subcarrier alignment (or the
-    given indices) and stops once an outer iteration improves the objective
-    by less than `eps_rate`.  Returns (state, powers, rate, trace); the trace
+    Starts from uniform power and the center-subcarrier alignment and stops
+    once an outer iteration improves the objective by less than
+    `settings.eps_rate`.  Returns (state, powers, rate, trace); the trace
     objectives are non-decreasing up to floating-point noise.
     """
     table = reflection_table(model, cb, channel.frequencies)
-    if init_indices is None:
-        init_indices = alignment_init(channel, cb)
-    indices, alloc, rate, trace = _alternate(
-        channel, table, config.max_power, config.noise_variance, init_indices,
-        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps)
+    indices, alloc, rate, trace = _alternate(channel, cb, table, config, settings)
     state = BeamformingState(indices, table[indices])
     return state, alloc, rate, trace
 
 
-def ideal_design(channel, cb, config, model, init_indices=None, *,
-                 eps_rate=1e-4, max_outer=30, max_sweeps=20):
+def ideal_design(channel, model, cb, config, settings=OptimizerSettings()):
     """Beam designed as if every element reflected exp(j x) flat in frequency.
 
     The returned state carries the practical model's reflection for the
@@ -239,25 +234,21 @@ def ideal_design(channel, cb, config, model, init_indices=None, *,
     """
     ideal_table = np.ascontiguousarray(
         np.exp(1j * cb.values)[:, None] * np.ones(channel.n_subcarriers))
-    if init_indices is None:
-        init_indices = alignment_init(channel, cb)
-    indices, _, _, _ = _alternate(
-        channel, ideal_table, config.max_power, config.noise_variance, init_indices,
-        eps_rate=eps_rate, max_outer=max_outer, max_sweeps=max_sweeps)
+    indices, _, _, _ = _alternate(channel, cb, ideal_table, config, settings)
     return BeamformingState.from_indices(indices, model, cb, channel.frequencies)
 
 
-def exhaustive_search(channel, model, cb, config, max_configs=1_000_000):
+def exhaustive_search(channel, model, cb, config):
     """Global optimum by enumerating every codebook assignment.
 
-    Only sensible for tiny instances; refuses more than `max_configs`
+    Only sensible for tiny instances; refuses more than a million
     assignments.  Each assignment is scored with its own water-filling, so
     the result upper-bounds any alternating run on the same instance.
     """
     n = channel.n_elements
     size = cb.size ** n
-    if size > max_configs:
-        raise ValueError(f"{cb.size}^{n} = {size} assignments exceed the cap {max_configs}")
+    if size > _ENUMERATION_CAP:
+        raise ValueError(f"{cb.size}^{n} = {size} assignments exceed the cap {_ENUMERATION_CAP}")
     table = reflection_table(model, cb, channel.frequencies)
     v = channel.cascade
 

@@ -19,7 +19,6 @@ circuit curves with a derivative-free simplex search.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 
 import numpy as np
@@ -28,6 +27,10 @@ from .circuit import wrap_phase
 
 _GHZ = 1e9
 _WIDTH_GHZ = 0.05  # resonance width scale of the amplitude dip
+# fit_model: weight of the squared amplitude errors against the squared phase
+# errors, and the objective evaluations each restart may spend
+_FIT_AMP_WEIGHT = 4.0
+_FIT_EVALS = 20000
 
 
 class FitConstraintError(ValueError):
@@ -148,28 +151,6 @@ class FitSample:
             raise ValueError("frequency must be positive")
 
 
-_FIT_HEADER = ["center_phase_rad", "freq_hz", "phase_rad", "amplitude"]
-
-
-def write_fit_samples(path, samples):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIT_HEADER)
-        for s in samples:
-            writer.writerow([str(s.center_phase), str(s.frequency),
-                             str(s.observed_phase), str(s.observed_amplitude)])
-
-
-def read_fit_samples(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _FIT_HEADER:
-            raise ValueError(f"unexpected fit sample header: {header!r}")
-        return [FitSample(float(r[0]), float(r[1]), float(r[2]), float(r[3]))
-                for r in reader if r]
-
-
 @dataclasses.dataclass
 class FitReport:
     center_phases: np.ndarray      # unique curve identifiers, sorted
@@ -181,7 +162,7 @@ class FitReport:
     no_improvement: bool
 
 
-def _fit_objective(vec, x, f, obs_phase, obs_amp, weight):
+def _fit_objective(vec, x, f, obs_phase, obs_amp):
     a1, a2, a3, a4, b1, b2, b3 = vec
     margin = min(b3 - a4 * np.pi, b3 + a4 * np.pi)
     if margin <= 0.0:
@@ -193,17 +174,16 @@ def _fit_objective(vec, x, f, obs_phase, obs_amp, weight):
     phase = -2.0 * np.arctan(f2 * detune_ghz)
     amp = np.clip(1.0 - (a4 * x + b3) / ((detune_ghz / _WIDTH_GHZ) ** 2 + 4.0), 0.0, 1.0)
     dphi = wrap_phase(phase - obs_phase)
-    val = float(np.dot(dphi, dphi) + weight * np.sum((amp - obs_amp) ** 2))
+    val = float(np.dot(dphi, dphi) + _FIT_AMP_WEIGHT * np.sum((amp - obs_amp) ** 2))
     if not np.isfinite(val):
         return 1e15
     return val
 
 
-def fit_model(samples, init=None, *, amplitude_weight=4.0, n_restarts=5,
-              max_evals_per_restart=20000, seed=0):
+def fit_model(samples, init=None, *, n_restarts=5, seed=0):
     """Refit the model coefficients to sampled circuit curves.
 
-    Minimizes the sum of squared wrapped phase errors plus `amplitude_weight`
+    Minimizes the sum of squared wrapped phase errors plus `_FIT_AMP_WEIGHT`
     times the squared amplitude errors, using Nelder-Mead simplex descent from
     `init` and from `n_restarts - 1` perturbed copies of it.  Deterministic
     for a fixed seed.
@@ -237,7 +217,7 @@ def fit_model(samples, init=None, *, amplitude_weight=4.0, n_restarts=5,
     if init is None:
         init = ModelParams()
     v0 = init.as_array()
-    args = (x, f, obs_phase, obs_amp, float(amplitude_weight))
+    args = (x, f, obs_phase, obs_amp)
     obj_init = _fit_objective(v0, *args)
 
     rng = np.random.default_rng(seed)
@@ -250,7 +230,7 @@ def fit_model(samples, init=None, *, amplitude_weight=4.0, n_restarts=5,
             # small multiplicative kicks; additive floor keeps zero entries live
             kick = rng.uniform(-0.05, 0.05, size=v0.size)
             start = v0 * (1.0 + kick) + 0.01 * rng.standard_normal(v0.size) * (v0 == 0.0)
-        budget = max_evals_per_restart
+        budget = _FIT_EVALS
         current = start
         current_obj = _fit_objective(current, *args)
         n_evals += 1

@@ -54,9 +54,8 @@ def _circuit_curves(params, freqs):
     for deg in CENTERS_DEG:
         x = float(np.deg2rad(deg))
         cap, _ = solve_capacitance(params, x, 2.4e9)
-        pol = sweep_reflection(params, cap, freqs)
-        curves[x] = (np.array([p.phase for _, p in pol]),
-                     np.array([p.amplitude for _, p in pol]))
+        amplitude, phase = sweep_reflection(params, cap, freqs)
+        curves[x] = (phase, amplitude)
     return curves
 
 
@@ -72,8 +71,8 @@ def _model_errors(model, curves, freqs):
 def test_detuned_circuit_phase_window(capsys):
     params = CircuitParams()
     cap, _ = solve_capacitance(params, 0.0, 2.4e9)
-    [(_, pol)] = sweep_reflection(params, cap, [2.5e9])
-    deg = float(np.rad2deg(pol.phase))
+    _, [phase] = sweep_reflection(params, cap, [2.5e9])
+    deg = float(np.rad2deg(phase))
     ok = -115.0 <= deg <= -85.0
     _line(capsys, 1, "circuit phase 100 MHz off resonance", ok, "%.2f deg at 2.5 GHz" % deg)
     assert ok, deg

@@ -5,7 +5,6 @@ import pytest
 
 from irsofdm.circuit import (
     CircuitParams,
-    PolarReflection,
     SingularCircuitError,
     UnreachablePhaseError,
     impedance,
@@ -195,26 +194,26 @@ class TestSolveCapacitance:
 
 
 class TestSweepReflection:
-    def test_returns_polar_pairs_in_grid_order(self):
+    def test_returns_arrays_in_grid_order(self):
         grid = np.linspace(2.3e9, 2.5e9, 5)
-        out = sweep_reflection(PARAMS, 1.0e-12, grid)
-        assert [f for f, _ in out] == list(grid)
-        assert all(isinstance(p, PolarReflection) for _, p in out)
+        amplitude, phase = sweep_reflection(PARAMS, 1.0e-12, grid)
+        phi = np.array([reflection(PARAMS, 1.0e-12, f) for f in grid])
+        assert amplitude.shape == phase.shape == grid.shape
+        np.testing.assert_allclose(amplitude, np.abs(phi), rtol=1e-12)
+        np.testing.assert_allclose(phase, np.angle(phi), rtol=1e-12)
 
     def test_zero_phase_capacitance_drifts_negative_off_design(self):
         c, _ = solve_capacitance(PARAMS, 0.0, 2.4e9)
-        out = dict(sweep_reflection(PARAMS, c, [2.4e9, 2.5e9]))
-        assert abs(out[2.4e9].phase) <= 1e-6
+        _, (phase_design, phase_off) = sweep_reflection(PARAMS, c, [2.4e9, 2.5e9])
+        assert abs(phase_design) <= 1e-6
         # 100 MHz above design the phase has swung far negative
-        np.testing.assert_allclose(np.rad2deg(out[2.5e9].phase), -96.300, atol=0.2)
-        assert -115.0 <= np.rad2deg(out[2.5e9].phase) <= -85.0
+        np.testing.assert_allclose(np.rad2deg(phase_off), -96.300, atol=0.2)
+        assert -115.0 <= np.rad2deg(phase_off) <= -85.0
 
     def test_amplitude_dip_sits_at_the_phase_zero(self):
         c, _ = solve_capacitance(PARAMS, 0.0, 2.4e9)
         grid = np.linspace(2.3e9, 2.5e9, 201)
-        out = sweep_reflection(PARAMS, c, grid)
-        amps = np.array([p.amplitude for _, p in out])
-        phases = np.array([p.phase for _, p in out])
+        amps, phases = sweep_reflection(PARAMS, c, grid)
         f_dip = grid[np.argmin(amps)]
         f_zero = grid[np.argmin(np.abs(phases))]
         assert abs(f_dip - f_zero) <= 10e6

@@ -70,13 +70,20 @@ class TestValidateConfig:
         "system: {n_elements: 2048, n_subcarriers: 4096, n_taps: 9}\n",
         "system: {n_elements: 0, n_subcarriers: 1000000000000}\nelement_sweep: [0]\n",
         "validation: {n_points: 67108865}\n",
+        # 1e12 drops x 1 power x 3 schemes of per-drop rates, 7.28 TiB
+        "n_drops: 1000000000000\npower_sweep_dbm: [0]\n"
+        "system: {n_elements: 2, n_subcarriers: 2}\n",
+        # one drop beyond the cap of 2**26 rates at 9 powers
+        "n_drops: 2485514\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
         with pytest.raises(ConfigError):
             load_config(path)
         assert main(["validate-config", path]) == 2
-        assert main(["run", path, "--drops", "1"]) == 2
+        # --drops 1 keeps a wrongly accepted config short, but would mend an n_drops fault
+        drops = [] if "n_drops" in text else ["--drops", "1"]
+        assert main(["run", path, *drops]) == 2
 
 
 class TestRun:
@@ -114,8 +121,9 @@ class TestRun:
         assert main(["run", cfg, "--seed", "9", "--out", str(out_b)]) == 0
         assert out_a.read_text() != out_b.read_text()
 
-    @pytest.mark.parametrize("override", [["--drops", "0"], ["--seed", "-1"]],
-                             ids=["drops-0", "seed-negative"])
+    @pytest.mark.parametrize("override", [["--drops", "0"], ["--seed", "-1"],
+                                          ["--drops", "1000000000000"]],
+                             ids=["drops-0", "seed-negative", "drops-beyond-cap"])
     def test_invalid_override_is_config_error(self, tmp_path, override):
         assert main(["run", write(tmp_path, TINY), *override]) == 2
 

@@ -138,6 +138,9 @@ class TestFromDict:
         cfg = config_from_dict({"system": {"n_elements": 2048, "n_subcarriers": 4096},
                                 "validation": {"n_points": config.MAX_WORKING_VALUES}})
         assert cfg.system.n_elements == 2048
+        # the most drops whose 9 powers x 3 schemes of rates stay within the cap
+        assert 2485513 * 9 * 3 <= config.MAX_WORKING_VALUES < 2485514 * 9 * 3
+        assert config_from_dict({"n_drops": 2485513}).n_drops == 2485513
 
 
 def _numeric_keys(table=config._TOP, path=()):

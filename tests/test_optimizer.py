@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsofdm.channel import ChannelRealization, SystemConfig, generate_channels, subcarrier_frequencies
+from irsofdm.kernels import coordinate_descent_sweeps
 from irsofdm.optimizer import (
     BeamformingState,
+    OptimizerSettings,
     PowerAllocation,
     PowerAllocationError,
     alignment_init,
@@ -16,7 +18,6 @@ from irsofdm.optimizer import (
     effective_gains,
     exhaustive_search,
     ideal_design,
-    reflect_beamforming,
     water_filling,
 )
 from irsofdm.reflection_model import ModelParams, codebook, model_reflection, reflection_table
@@ -264,23 +265,32 @@ class TestInits:
         assert alignment_init(ch, CB).size == 0
 
 
+def reflect(ch, p, noise_variance, init_indices=None):
+    """Coordinate descent for fixed powers from the alignment start (or `init_indices`)."""
+    table = reflection_table(MODEL, CB, ch.frequencies)
+    if init_indices is None:
+        init_indices = alignment_init(ch, CB)
+    return coordinate_descent_sweeps(ch.cascade, ch.h_direct, table, p, noise_variance,
+                                     init_indices)
+
+
 class TestReflectBeamforming:
     def test_single_element_single_subcarrier_enumeration(self):
         ch, cfg = tiny_channel(1, 1, 21)
         p = np.array([cfg.max_power])
-        state, trace = reflect_beamforming(ch, p, cfg.noise_variance, MODEL, CB)
+        res = reflect(ch, p, cfg.noise_variance)
         table = reflection_table(MODEL, CB, ch.frequencies)
         v = np.conj(ch.h_irs_user[0, 0]) * ch.g_ap_irs[0, 0]
         rates = np.log2(1.0 + p[0] * np.abs(ch.h_direct[0] + v * table[:, 0]) ** 2
                         / cfg.noise_variance)
-        assert state.indices[0] == int(np.argmax(rates))
-        assert trace.converged
+        assert res.indices[0] == int(np.argmax(rates))
+        assert res.converged
 
     def test_converged_state_is_coordinate_wise_optimal(self):
         ch, cfg = tiny_channel(5, 4, 22)
         p = np.full(4, cfg.max_power / 4)
-        state, trace = reflect_beamforming(ch, p, cfg.noise_variance, MODEL, CB)
-        assert trace.converged
+        res = reflect(ch, p, cfg.noise_variance)
+        assert res.converged
         table = reflection_table(MODEL, CB, ch.frequencies)
         v = np.conj(ch.h_irs_user) * ch.g_ap_irs
 
@@ -288,21 +298,20 @@ class TestReflectBeamforming:
             eff = ch.h_direct + (table[idx] * v).sum(axis=0)
             return np.mean(np.log2(1.0 + p * np.abs(eff) ** 2 / cfg.noise_variance))
 
-        best = rate_of(state.indices)
+        best = rate_of(res.indices)
         for n in range(5):
             for s in range(CB.size):
-                trial = state.indices.copy()
+                trial = res.indices.copy()
                 trial[n] = s
                 assert rate_of(trial) <= best + 1e-12
 
     def test_restart_from_result_changes_nothing(self):
         ch, cfg = tiny_channel(6, 4, 23)
         p = np.full(4, cfg.max_power / 4)
-        state, _ = reflect_beamforming(ch, p, cfg.noise_variance, MODEL, CB)
-        again, trace = reflect_beamforming(ch, p, cfg.noise_variance, MODEL, CB,
-                                           init_indices=state.indices)
-        assert np.array_equal(again.indices, state.indices)
-        assert trace.n_sweeps == 1
+        first = reflect(ch, p, cfg.noise_variance)
+        again = reflect(ch, p, cfg.noise_variance, init_indices=first.indices)
+        assert np.array_equal(again.indices, first.indices)
+        assert again.sweep_rates.size == 1
 
 
 class TestAlternatingOptimize:
@@ -351,10 +360,35 @@ class TestAlternatingOptimize:
         assert state.indices.tolist() == [0, 0, 7]
 
 
+@st.composite
+def alternation_instances(draw):
+    """A tiny drop, a codebook, a budget over six decades and stopping rules."""
+    system = SystemConfig(n_elements=draw(st.integers(0, 6)),
+                          n_subcarriers=draw(st.integers(1, 8)),
+                          max_power=10.0 ** draw(st.floats(-4.0, 2.0)))
+    channel = generate_channels(system, draw(st.floats(0.0, 2.0 * np.pi)),
+                                draw(st.integers(0, 2 ** 32 - 1)))
+    stopping = OptimizerSettings(eps_rate=10.0 ** draw(st.floats(-12.0, -1.0)),
+                                 max_outer=draw(st.integers(1, 30)),
+                                 max_sweeps=draw(st.integers(1, 20)))
+    return channel, codebook(draw(st.integers(1, 3))), system, stopping
+
+
+@settings(max_examples=100, deadline=None)
+@given(alternation_instances())
+def test_alternating_objective_never_decreases(instance):
+    channel, cb, system, opt = instance
+    _, _, rate, trace = alternating_optimize(channel, MODEL, cb, system, settings=opt)
+    obj = trace.objectives
+    assert np.all(np.diff(obj) >= -1e-12 * np.abs(obj[:-1]))
+    assert trace.stages[-1] == "power"
+    assert rate == obj[-1]
+
+
 class TestIdealDesign:
     def test_state_carries_practical_reflection(self):
         ch, cfg = tiny_channel(6, 6, 29)
-        state = ideal_design(ch, CB, cfg, MODEL)
+        state = ideal_design(ch, MODEL, CB, cfg)
         table = reflection_table(MODEL, CB, ch.frequencies)
         assert np.array_equal(state.phi, table[state.indices])
 
@@ -362,7 +396,7 @@ class TestIdealDesign:
         for angle, seed in [(0.6, 2024), (1.9, 77), (4.4, 13)]:
             ch, cfg = tiny_channel(8, 8, seed, angle)
             _, _, r_practical, _ = alternating_optimize(ch, MODEL, CB, cfg)
-            state = ideal_design(ch, CB, cfg, MODEL)
+            state = ideal_design(ch, MODEL, CB, cfg)
             gains = np.abs(effective_gains(ch, state)) ** 2
             alloc = water_filling(gains, cfg.noise_variance, cfg.max_power)
             r_ideal = np.mean(np.log2(1.0 + alloc.p * gains / cfg.noise_variance))

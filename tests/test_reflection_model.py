@@ -13,10 +13,8 @@ from irsofdm.reflection_model import (
     model_phase,
     model_reflection,
     phase_slope,
-    read_fit_samples,
     reflection_table,
     resonance_ghz,
-    write_fit_samples,
 )
 
 DEFAULTS = ModelParams()
@@ -169,21 +167,6 @@ class TestFitSamples:
             FitSample(4.0, 2.4e9, 0.0, 0.5)
         with pytest.raises(ValueError):
             FitSample(0.0, -2.4e9, 0.0, 0.5)
-
-    def test_csv_round_trip(self, tmp_path):
-        samples = _grid_samples(DEFAULTS, [-1.0, 0.0, 1.0], np.linspace(2.3e9, 2.5e9, 4))
-        path = tmp_path / "samples.csv"
-        write_fit_samples(path, samples)
-        header = path.read_text().splitlines()[0]
-        assert header == "center_phase_rad,freq_hz,phase_rad,amplitude"
-        back = read_fit_samples(path)
-        assert back == samples
-
-    def test_read_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b,c,d\n1,2,3,4\n")
-        with pytest.raises(ValueError):
-            read_fit_samples(path)
 
 
 class TestFitModel:

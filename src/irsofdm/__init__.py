@@ -49,14 +49,11 @@ from .optimizer import (
     OptimizerSettings,
     PowerAllocation,
     PowerAllocationError,
-    BeamformingState,
     OptimizationTrace,
-    effective_gains,
-    average_rate,
     water_filling,
     alignment_init,
+    design_tables,
     alternating_optimize,
-    ideal_design,
     exhaustive_search,
 )
 from .config import ConfigError, ExperimentConfig, load_config, default_config

@@ -13,10 +13,10 @@ import dataclasses
 
 import numpy as np
 
-from .channel import dbm_to_watts, generate_channels, take_elements
+from .channel import dbm_to_watts, generate_channels, subcarrier_frequencies, take_elements
 from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
-from .kernels import mean_rate
-from .optimizer import alternating_optimize, effective_gains, ideal_design, water_filling
+from .kernels import combined_gains, mean_rate
+from .optimizer import alternating_optimize, design_tables, water_filling
 from .reflection_model import codebook, model_amplitude, model_phase
 
 SCHEMES = ("practical", "ideal", "no_irs")
@@ -37,27 +37,37 @@ def drop_channel(system, seed, drop):
                              _drop_channel_seed(seed, drop))
 
 
-def simulate_drop_rates(channel, model, cb, system, settings):
+def _water_filled_rate(g, system):
+    """Rate of the complex gains `g` under water-filling with the budget of `system`."""
+    gains = g.real ** 2 + g.imag ** 2
+    alloc = water_filling(gains, system.noise_variance, system.max_power)
+    return float(mean_rate(alloc.p, gains, system.noise_variance))
+
+
+def simulate_drop_rates(channel, cb, tables, system, settings):
     """Achievable rate of each scheme on one channel realization.
 
-    practical: joint alternating design through the reflection model.
-    ideal: beam chosen as if elements were flat unit reflectors, then
-    evaluated through the model with water-filling on the realized gains.
+    `tables` are the run's (practical, ideal) `design_tables`.
+    practical: joint alternating design on the practical table.
+    ideal: the same design on the flat unit-modulus table; its indices are
+    then scored on the practical table with water-filling on the realized
+    gains.
     no_irs: water-filling over the direct link only.
     """
-    sigma2 = system.noise_variance
-    _, _, r_practical, _ = alternating_optimize(channel, model, cb, system, settings)
+    practical, ideal = tables
+    _, _, r_practical, _ = alternating_optimize(channel, cb, practical, system, settings)
+    indices, _, _, _ = alternating_optimize(channel, cb, ideal, system, settings)
+    g = combined_gains(channel.h_direct, channel.cascade, practical[indices])
+    return {"practical": r_practical, "ideal": _water_filled_rate(g, system),
+            "no_irs": _water_filled_rate(channel.h_direct, system)}
 
-    state = ideal_design(channel, model, cb, system, settings)
-    eff = effective_gains(channel, state)
-    gains = eff.real ** 2 + eff.imag ** 2
-    alloc = water_filling(gains, sigma2, system.max_power)
-    r_ideal = float(mean_rate(alloc.p, gains, sigma2))
 
-    direct = channel.h_direct.real ** 2 + channel.h_direct.imag ** 2
-    alloc_d = water_filling(direct, sigma2, system.max_power)
-    r_direct = float(mean_rate(alloc_d.p, direct, sigma2))
-    return {"practical": r_practical, "ideal": r_ideal, "no_irs": r_direct}
+def _design_inputs(cfg):
+    """The run's codebook and its (practical, ideal) design tables."""
+    cb = codebook(cfg.codebook_bits)
+    s = cfg.system
+    freqs = subcarrier_frequencies(s.center_frequency, s.bandwidth, s.n_subcarriers)
+    return cb, design_tables(cfg.model, cb, freqs)
 
 
 @dataclasses.dataclass
@@ -151,14 +161,14 @@ def run_rate_vs_power(cfg):
     of `cfg.power_sweep_dbm` is the transmit budget there;
     `cfg.system.max_power` is not used.
     """
-    cb = codebook(cfg.codebook_bits)
+    cb, tables = _design_inputs(cfg)
     values = tuple(float(v) for v in cfg.power_sweep_dbm)
     per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
     for drop in range(cfg.n_drops):
         channel = drop_channel(cfg.system, cfg.seed, drop)
         for v in values:
             system_p = dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v)))
-            rates = simulate_drop_rates(channel, cfg.model, cb, system_p, cfg.optimizer)
+            rates = simulate_drop_rates(channel, cb, tables, system_p, cfg.optimizer)
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
     return RateSweepResult("power_dbm", values, cfg.seed, cfg.n_drops, per_drop)
@@ -170,7 +180,7 @@ def run_rate_vs_elements(cfg):
     Channels are generated once per drop at the largest count and sliced, so
     smaller surfaces see a subset of the same elements.
     """
-    cb = codebook(cfg.codebook_bits)
+    cb, tables = _design_inputs(cfg)
     values = tuple(int(n) for n in cfg.element_sweep)
     n_max = max(values)
     system_full = dataclasses.replace(cfg.system, n_elements=n_max)
@@ -180,7 +190,7 @@ def run_rate_vs_elements(cfg):
         for v in values:
             channel = take_elements(channel_full, v)
             system_n = dataclasses.replace(cfg.system, n_elements=v)
-            rates = simulate_drop_rates(channel, cfg.model, cb, system_n, cfg.optimizer)
+            rates = simulate_drop_rates(channel, cb, tables, system_n, cfg.optimizer)
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
     return RateSweepResult("n_elements", values, cfg.seed, cfg.n_drops, per_drop)
@@ -199,9 +209,9 @@ class TraceResult:
 
 def run_convergence_trace(cfg):
     """Objective trace of one alternating optimization on drop 0."""
-    cb = codebook(cfg.codebook_bits)
+    cb, (practical, _) = _design_inputs(cfg)
     channel = drop_channel(cfg.system, cfg.seed, 0)
-    _, _, rate, trace = alternating_optimize(channel, cfg.model, cb, cfg.system, cfg.optimizer)
+    _, _, rate, trace = alternating_optimize(channel, cb, practical, cfg.system, cfg.optimizer)
     return TraceResult(trace, rate)
 
 

@@ -7,9 +7,12 @@ The design objective is the average achievable rate over K subcarriers,
 maximized over the per-subcarrier powers (water-filling, convex) and the
 per-element codebook phases (coordinate descent over a discrete set).  An
 alternating loop interleaves the two until the objective stops improving.
-All phases are applied through the frequency-dependent reflection model; the
-ideal-model baseline designs with flat unit-amplitude phase shifts instead
-and is then evaluated through the same practical model.
+A design reads one (S, K) reflection table, the response of each of the S
+codebook entries at each subcarrier.  `design_tables` builds the two a run
+needs once: the practical table of the frequency-dependent reflection model
+and the ideal table of flat unit-modulus phase shifts.  The ideal design is
+the same alternation on the ideal table; its indices are then scored on the
+practical table.
 """
 
 from __future__ import annotations
@@ -64,28 +67,6 @@ class PowerAllocation:
         return float(self.p.sum())
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class BeamformingState:
-    """Chosen codebook index per element plus the cached reflection table.
-
-    phi[n, k] is always the model reflection of element n's codebook phase at
-    subcarrier k; rebuilding from the indices reproduces it exactly.
-    """
-
-    indices: np.ndarray  # (N,) int
-    phi: np.ndarray      # (N, K) complex
-
-    @classmethod
-    def from_indices(cls, indices, model, cb, frequencies):
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise ValueError("indices must be a 1-D array")
-        if indices.size and (indices.min() < 0 or indices.max() >= cb.size):
-            raise ValueError("codebook index out of range")
-        table = reflection_table(model, cb, frequencies)
-        return cls(indices, table[indices])
-
-
 @dataclasses.dataclass
 class OptimizationTrace:
     """Objective values recorded at every update, tagged by stage."""
@@ -99,24 +80,6 @@ class OptimizationTrace:
         """Yield (stage, iteration, objective) rows in recording order."""
         for i, (stage, obj) in enumerate(zip(self.stages, self.objectives)):
             yield stage, i, float(obj)
-
-
-def effective_gains(channel, beam):
-    """Combined complex gain per subcarrier, shape (K,)."""
-    if beam.phi.shape != channel.h_irs_user.shape:
-        raise ValueError("beamforming state does not match the channel shape")
-    return combined_gains(channel.h_direct, channel.cascade, beam.phi)
-
-
-def average_rate(channel, beam, power, noise_variance):
-    """Average rate in bit/s/Hz for a beamforming state and power allocation."""
-    if noise_variance <= 0.0:
-        raise ValueError("noise variance must be positive")
-    p = power.p if isinstance(power, PowerAllocation) else np.asarray(power, dtype=float)
-    if p.shape != (channel.n_subcarriers,):
-        raise ValueError("power allocation does not match the subcarrier count")
-    g = effective_gains(channel, beam)
-    return float(mean_rate(p, g.real ** 2 + g.imag ** 2, noise_variance))
 
 
 def water_filling(gains, noise_variance, total_power):
@@ -168,11 +131,28 @@ def alignment_init(channel, cb):
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def _alternate(channel, cb, table, config, settings):
-    """Alternating loop shared by the practical and ideal designs.
+def design_tables(model, cb, frequencies):
+    """The (S, K) reflection tables of the two designs, (practical, ideal).
 
-    `table` (S, K) is the reflection each codebook entry is designed with;
-    the loop starts from uniform power and the center-subcarrier alignment.
+    practical: the model reflection of each codebook phase at each
+    subcarrier frequency; ideal: the flat unit-modulus exp(j x) the ideal
+    design assumes.  Both depend only on the run's model, codebook and band.
+    """
+    practical = reflection_table(model, cb, frequencies)
+    ideal = np.ascontiguousarray(np.exp(1j * cb.values)[:, None] * np.ones(np.size(frequencies)))
+    return practical, ideal
+
+
+def _check_table(shape, expected):
+    if shape != expected:
+        raise ValueError(f"reflection table has shape {shape}, expected {expected} "
+                         "(codebook entries, subcarriers)")
+
+
+def _alternate(channel, cb, table, config, settings):
+    """The alternating loop of `alternating_optimize`, on a checked table.
+
+    The loop starts from uniform power and the center-subcarrier alignment.
     """
     n_sc = channel.n_subcarriers
     v = channel.cascade
@@ -210,50 +190,39 @@ def _alternate(channel, cb, table, config, settings):
     return indices, alloc, r_prev, trace
 
 
-def alternating_optimize(channel, model, cb, config, settings=OptimizerSettings()):
+def alternating_optimize(channel, cb, table, config, settings=OptimizerSettings()):
     """Joint design: alternate codebook coordinate descent and water-filling.
 
-    Starts from uniform power and the center-subcarrier alignment and stops
-    once an outer iteration improves the objective by less than
-    `settings.eps_rate`.  Returns (state, powers, rate, trace); the trace
-    objectives are non-decreasing up to floating-point noise.
+    `table` (cb.size, K) is the reflection each codebook entry is designed
+    with, one of the two `design_tables`.  Starts from uniform power and the
+    center-subcarrier alignment and stops once an outer iteration improves
+    the objective by less than `settings.eps_rate`.  Returns (indices,
+    powers, rate, trace); the trace objectives are non-decreasing up to
+    floating-point noise.
     """
-    table = reflection_table(model, cb, channel.frequencies)
-    indices, alloc, rate, trace = _alternate(channel, cb, table, config, settings)
-    state = BeamformingState(indices, table[indices])
-    return state, alloc, rate, trace
+    _check_table(np.shape(table), (cb.size, channel.n_subcarriers))
+    return _alternate(channel, cb, table, config, settings)
 
 
-def ideal_design(channel, model, cb, config, settings=OptimizerSettings()):
-    """Beam designed as if every element reflected exp(j x) flat in frequency.
-
-    The returned state carries the practical model's reflection for the
-    chosen indices, so evaluating it shows what the idealized design costs on
-    the real element response.  Re-run water-filling on its realized gains
-    before quoting a rate.
-    """
-    ideal_table = np.ascontiguousarray(
-        np.exp(1j * cb.values)[:, None] * np.ones(channel.n_subcarriers))
-    indices, _, _, _ = _alternate(channel, cb, ideal_table, config, settings)
-    return BeamformingState.from_indices(indices, model, cb, channel.frequencies)
-
-
-def exhaustive_search(channel, model, cb, config):
+def exhaustive_search(channel, table, config):
     """Global optimum by enumerating every codebook assignment.
 
+    `table` (S, K) holds the reflection of each of the S codebook entries.
     Only sensible for tiny instances; refuses more than a million
     assignments.  Each assignment is scored with its own water-filling, so
     the result upper-bounds any alternating run on the same instance.
+    Returns (indices, powers, rate).
     """
-    n = channel.n_elements
-    size = cb.size ** n
+    shape = np.shape(table)
+    _check_table(shape, shape[:1] + (channel.n_subcarriers,))
+    n, n_cb = channel.n_elements, shape[0]
+    size = n_cb ** n
     if size > _ENUMERATION_CAP:
-        raise ValueError(f"{cb.size}^{n} = {size} assignments exceed the cap {_ENUMERATION_CAP}")
-    table = reflection_table(model, cb, channel.frequencies)
+        raise ValueError(f"{n_cb}^{n} = {size} assignments exceed the cap {_ENUMERATION_CAP}")
     v = channel.cascade
 
     best = None
-    for combo in itertools.product(range(cb.size), repeat=n):
+    for combo in itertools.product(range(n_cb), repeat=n):
         idx = np.asarray(combo, dtype=np.int64)
         g = combined_gains(channel.h_direct, v, table[idx])
         gains = g.real ** 2 + g.imag ** 2
@@ -267,4 +236,4 @@ def exhaustive_search(channel, model, cb, config):
     if best is None:
         raise PowerAllocationError("no assignment yields a positive gain")
     rate, idx, alloc = best
-    return BeamformingState(idx, table[idx]), alloc, rate
+    return idx, alloc, rate

@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 
 from irsofdm import (
-    BeamformingState,
     CircuitParams,
     ExperimentConfig,
     FitSample,
@@ -20,8 +19,8 @@ from irsofdm import (
     SystemConfig,
     alternating_optimize,
     ap_user_distance,
-    average_rate,
     codebook,
+    design_tables,
     drop_channel,
     exhaustive_search,
     fit_model,
@@ -30,15 +29,16 @@ from irsofdm import (
     model_phase,
     path_loss_gain,
     reflection,
-    reflection_table,
     run_rate_vs_elements,
     run_rate_vs_power,
     solve_capacitance,
+    subcarrier_frequencies,
     sweep_reflection,
     water_filling,
     wrap_phase,
     write_result_csv,
 )
+from irsofdm.kernels import combined_gains, mean_rate
 
 CENTERS_DEG = (0.0, 60.0, -60.0, 120.0, -120.0)
 
@@ -165,22 +165,25 @@ def test_alternating_bounded_by_exhaustive(capsys):
     worst_gap = -np.inf
     worst_swap = -np.inf
     n_converged = 0
+    freqs = subcarrier_frequencies(system.center_frequency, system.bandwidth,
+                                   system.n_subcarriers)
+    table, _ = design_tables(model, cb, freqs)
     for drop in range(50):
         channel = drop_channel(system, 5, drop)
-        state, alloc, rate, trace = alternating_optimize(channel, model, cb, system)
-        _, _, best = exhaustive_search(channel, model, cb, system)
+        indices, alloc, rate, trace = alternating_optimize(channel, cb, table, system)
+        _, _, best = exhaustive_search(channel, table, system)
         worst_gap = max(worst_gap, rate - best)
         diffs = np.diff(trace.objectives)
         assert np.all(diffs >= -1e-9 * max(1.0, float(trace.objectives.max())))
         if trace.converged:
             n_converged += 1
-            table = reflection_table(model, cb, channel.frequencies)
             for n in range(system.n_elements):
                 for s in range(cb.size):
-                    idx = state.indices.copy()
+                    idx = indices.copy()
                     idx[n] = s
-                    moved = average_rate(channel, BeamformingState(idx, table[idx]),
-                                         alloc, system.noise_variance)
+                    g = combined_gains(channel.h_direct, channel.cascade, table[idx])
+                    moved = float(mean_rate(alloc.p, g.real ** 2 + g.imag ** 2,
+                                            system.noise_variance))
                     worst_swap = max(worst_swap, moved - rate)
     ok = worst_gap <= 1e-12 and worst_swap <= 1e-12 and n_converged == 50
     _line(capsys, 5, "alternating vs exhaustive on 50 instances", ok,

@@ -3,7 +3,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import irsofdm.optimizer
 from irsofdm.channel import SystemConfig
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
@@ -135,6 +139,41 @@ class TestRateVsElements:
         assert np.array_equal(full.h_irs_user[:2], sub.h_irs_user[:2])
         result = run_rate_vs_elements(cfg)
         assert set(result.per_drop) == {(4, s) for s in SCHEMES}
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count the calls to the reflection table builder the designs use."""
+    calls = []
+    build = irsofdm.optimizer.reflection_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(irsofdm.optimizer, "reflection_table", counted)
+    return calls
+
+
+class TestDesignTablesPerRun:
+    def test_power_sweep_builds_the_table_once(self, table_builds):
+        run_rate_vs_power(tiny_config())  # 2 drops x 2 powers
+        assert len(table_builds) == 1
+
+    def test_element_sweep_builds_the_table_once(self, table_builds):
+        run_rate_vs_elements(tiny_config(scenario="rate-vs-elements", element_sweep=(2, 4)))
+        assert len(table_builds) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fixed_seed_gives_identical_runs(seed):
+    cfg = ExperimentConfig(scenario="rate-vs-power", seed=seed, n_drops=2,
+                           power_sweep_dbm=(0.0,), system=SystemConfig(n_elements=2, n_subcarriers=2))
+    a, b = run_rate_vs_power(cfg), run_rate_vs_power(cfg)
+    assert a.per_drop.keys() == b.per_drop.keys()
+    for key, rates in a.per_drop.items():
+        assert np.array_equal(rates, b.per_drop[key])
 
 
 class TestConvergenceTrace:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsofdm.channel import SystemConfig, generate_channels
 from irsofdm.kernels import SweepResult, combined_gains, coordinate_descent_sweeps, mean_rate
+from irsofdm.reflection_model import ModelParams, codebook, model_reflection, reflection_table
 
 
 def random_instance(seed, n_el, n_sc, n_cb, scale=1e-6):
@@ -22,6 +24,44 @@ def random_instance(seed, n_el, n_sc, n_cb, scale=1e-6):
 # up to 24 elements, 16 subcarriers and 8 codebook entries
 instances = st.builds(random_instance, st.integers(0, 2 ** 32 - 1), st.integers(0, 24),
                       st.integers(1, 16), st.sampled_from([2, 4, 8]))
+
+
+class TestCombinedGains:
+    def test_zero_reflection_leaves_direct_link(self):
+        v, h_d, _, _, _, _ = random_instance(11, 3, 4, 2)
+        assert np.array_equal(combined_gains(h_d, v, np.zeros((3, 4))), h_d)
+
+    def test_single_element_unit_links(self):
+        # zero direct link and unit cascade: the gain is the element's reflection
+        phi = model_reflection(ModelParams(), codebook(3).values[5], 2.4e9)
+        got = combined_gains(np.zeros(1, dtype=complex), np.ones((1, 1), dtype=complex),
+                             np.full((1, 1), phi))
+        assert got[0] == phi
+
+    def test_matches_dense_recomputation(self):
+        ch = generate_channels(SystemConfig(n_elements=4, n_subcarriers=6), 0.8, 12)
+        cb = codebook(3)
+        idx = np.random.default_rng(3).integers(0, cb.size, 4)
+        phi = reflection_table(ModelParams(), cb, ch.frequencies)[idx]
+        got = combined_gains(ch.h_direct, ch.cascade, phi)
+        for k in range(6):
+            want = complex(ch.h_direct[k])
+            for n in range(4):
+                want += np.conj(ch.h_irs_user[n, k]) * phi[n, k] * ch.g_ap_irs[n, k]
+            np.testing.assert_allclose(got[k], want, rtol=1e-12)
+
+
+class TestMeanRate:
+    def test_zero_power_is_zero_rate(self):
+        assert mean_rate(np.zeros(4), np.full(4, 3.0), 1e-14) == 0.0
+
+    def test_unit_snr_is_one_bit(self):
+        # p |h|^2 / sigma2 = 1
+        assert mean_rate(np.array([0.25]), np.array([4.0]), 1.0) == 1.0
+
+    def test_averages_over_subcarriers(self):
+        np.testing.assert_allclose(mean_rate(np.ones(2), np.array([1.0, 3.0]), 1.0), 1.5,
+                                   rtol=1e-12)
 
 
 class TestNumpyKernel:

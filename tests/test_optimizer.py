@@ -1,26 +1,24 @@
-"""Water-filling, beamforming state, alternating loop and the brute-force oracle."""
+"""Water-filling, design tables, alternating loop and the brute-force oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsofdm.channel import ChannelRealization, SystemConfig, generate_channels, subcarrier_frequencies
-from irsofdm.kernels import coordinate_descent_sweeps
+from irsofdm.channel import SystemConfig, generate_channels
+from irsofdm.experiments import simulate_drop_rates
+from irsofdm.kernels import combined_gains, coordinate_descent_sweeps, mean_rate
 from irsofdm.optimizer import (
-    BeamformingState,
     OptimizerSettings,
     PowerAllocation,
     PowerAllocationError,
     alignment_init,
     alternating_optimize,
-    average_rate,
-    effective_gains,
+    design_tables,
     exhaustive_search,
-    ideal_design,
     water_filling,
 )
-from irsofdm.reflection_model import ModelParams, codebook, model_reflection, reflection_table
+from irsofdm.reflection_model import ModelParams, codebook, reflection_table
 
 MODEL = ModelParams()
 CB = codebook(3)
@@ -60,6 +58,10 @@ def bisection_water_filling(gains, noise_variance, total_power, n_iter=100):
 def tiny_channel(n_el, n_sc, seed, angle=0.8):
     cfg = SystemConfig(n_elements=n_el, n_subcarriers=n_sc)
     return generate_channels(cfg, angle, seed), cfg
+
+
+def practical_table(ch, cb=CB):
+    return design_tables(MODEL, cb, ch.frequencies)[0]
 
 
 class TestPowerAllocation:
@@ -168,86 +170,21 @@ class TestWaterFilling:
             water_filling(np.array([1.0]), 1.0, 0.0)
 
 
-def manual_state(phi):
-    phi = np.asarray(phi, dtype=complex)
-    return BeamformingState(np.zeros(phi.shape[0], dtype=np.int64), phi)
-
-
-class TestEffectiveGain:
-    def test_zero_reflection_leaves_direct_link(self):
-        ch, _ = tiny_channel(3, 4, 11)
-        state = manual_state(np.zeros((3, 4)))
-        np.testing.assert_allclose(effective_gains(ch, state), ch.h_direct, rtol=0)
-
-    def test_single_element_unit_links(self):
-        freqs = subcarrier_frequencies(2.4e9, 100e6, 1)
-        ch = ChannelRealization(freqs, np.zeros(1, dtype=complex),
-                                np.ones((1, 1), dtype=complex),
-                                np.ones((1, 1), dtype=complex), 0.0)
-        phi = model_reflection(MODEL, CB.values[5], freqs[0])
-        state = BeamformingState.from_indices([5], MODEL, CB, freqs)
-        np.testing.assert_allclose(effective_gains(ch, state)[0], complex(phi), rtol=0)
-
-    def test_matches_dense_recomputation(self):
-        ch, _ = tiny_channel(4, 6, 12)
-        rng = np.random.default_rng(3)
-        idx = rng.integers(0, CB.size, 4)
-        state = BeamformingState.from_indices(idx, MODEL, CB, ch.frequencies)
-        got = effective_gains(ch, state)
-        for k in range(6):
-            want = complex(ch.h_direct[k])
-            for n in range(4):
-                want += (np.conj(ch.h_irs_user[n, k]) * state.phi[n, k] * ch.g_ap_irs[n, k])
-            np.testing.assert_allclose(got[k], want, rtol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        ch, _ = tiny_channel(2, 3, 14)
-        with pytest.raises(ValueError):
-            effective_gains(ch, manual_state(np.zeros((3, 3))))
-
-
-class TestAverageRate:
-    def test_zero_power_is_zero_rate(self):
-        ch, cfg = tiny_channel(2, 4, 15)
-        state = manual_state(np.zeros((2, 4)))
-        assert average_rate(ch, state, np.zeros(4), cfg.noise_variance) == 0.0
-
-    def test_unit_snr_is_one_bit(self):
-        freqs = subcarrier_frequencies(2.4e9, 100e6, 1)
-        ch = ChannelRealization(freqs, np.array([2.0 + 0.0j]),
-                                np.zeros((0, 1), dtype=complex),
-                                np.zeros((0, 1), dtype=complex), 0.0)
-        state = manual_state(np.zeros((0, 1)))
-        # p |h|^2 / sigma2 = 1
-        assert average_rate(ch, state, np.array([0.25]), 1.0) == 1.0
-
-    def test_averages_over_subcarriers(self):
-        freqs = subcarrier_frequencies(2.4e9, 100e6, 2)
-        ch = ChannelRealization(freqs, np.array([1.0 + 0.0j, np.sqrt(3.0) + 0.0j]),
-                                np.zeros((0, 2), dtype=complex),
-                                np.zeros((0, 2), dtype=complex), 0.0)
-        state = manual_state(np.zeros((0, 2)))
-        rate = average_rate(ch, state, np.array([1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(rate, 1.5, rtol=1e-12)
-
-    def test_noise_must_be_positive(self):
-        ch, _ = tiny_channel(1, 2, 16)
-        with pytest.raises(ValueError):
-            average_rate(ch, manual_state(np.zeros((1, 2))), np.ones(2), 0.0)
-
-
-class TestBeamformingState:
-    def test_cache_matches_model_exactly(self):
+class TestDesignTables:
+    def test_practical_is_the_model_table_and_ideal_is_flat(self):
         ch, _ = tiny_channel(5, 6, 17)
-        idx = np.array([0, 3, 7, 2, 5])
-        state = BeamformingState.from_indices(idx, MODEL, CB, ch.frequencies)
-        table = reflection_table(MODEL, CB, ch.frequencies)
-        assert np.array_equal(state.phi, table[idx])
+        practical, ideal = design_tables(MODEL, CB, ch.frequencies)
+        assert np.array_equal(practical, reflection_table(MODEL, CB, ch.frequencies))
+        assert np.array_equal(ideal, np.exp(1j * CB.values)[:, None] * np.ones(6))
 
-    def test_index_range_checked(self):
-        ch, _ = tiny_channel(2, 3, 18)
-        with pytest.raises(ValueError):
-            BeamformingState.from_indices([0, 8], MODEL, CB, ch.frequencies)
+    def test_single_column_table_rejected_by_both_designs(self):
+        # an (S, 1) table would broadcast across K > 1 subcarriers
+        ch, cfg = tiny_channel(2, 3, 18)
+        column = practical_table(ch)[:, :1]
+        with pytest.raises(ValueError, match="shape"):
+            alternating_optimize(ch, CB, column, cfg)
+        with pytest.raises(ValueError, match="shape"):
+            exhaustive_search(ch, column, cfg)
 
 
 class TestInits:
@@ -317,7 +254,7 @@ class TestReflectBeamforming:
 class TestAlternatingOptimize:
     def test_trace_monotone_and_converged(self):
         ch, cfg = tiny_channel(8, 8, 24)
-        state, alloc, rate, trace = alternating_optimize(ch, MODEL, CB, cfg)
+        _, _, rate, trace = alternating_optimize(ch, CB, practical_table(ch), cfg)
         assert trace.converged
         assert trace.stages[0] == "init" and trace.stages[-1] == "power"
         assert np.all(np.diff(trace.objectives) >= -1e-12)
@@ -325,14 +262,16 @@ class TestAlternatingOptimize:
 
     def test_final_rate_is_recomputable(self):
         ch, cfg = tiny_channel(8, 8, 25)
-        state, alloc, rate, _ = alternating_optimize(ch, MODEL, CB, cfg)
-        np.testing.assert_allclose(average_rate(ch, state, alloc, cfg.noise_variance),
+        table = practical_table(ch)
+        indices, alloc, rate, _ = alternating_optimize(ch, CB, table, cfg)
+        g = combined_gains(ch.h_direct, ch.cascade, table[indices])
+        np.testing.assert_allclose(mean_rate(alloc.p, np.abs(g) ** 2, cfg.noise_variance),
                                    rate, rtol=1e-12)
         assert abs(alloc.total() - cfg.max_power) <= 1e-9 * cfg.max_power
 
     def test_no_surface_reduces_to_direct_water_filling(self):
         ch, cfg = tiny_channel(0, 6, 26)
-        state, alloc, rate, trace = alternating_optimize(ch, MODEL, CB, cfg)
+        _, alloc, rate, _ = alternating_optimize(ch, CB, practical_table(ch), cfg)
         gains = np.abs(ch.h_direct) ** 2
         alloc_ref = water_filling(gains, cfg.noise_variance, cfg.max_power)
         np.testing.assert_allclose(alloc.p, alloc_ref.p, rtol=1e-9)
@@ -341,12 +280,12 @@ class TestAlternatingOptimize:
 
     def test_single_subcarrier_gets_full_budget(self):
         ch, cfg = tiny_channel(4, 1, 27)
-        _, alloc, _, _ = alternating_optimize(ch, MODEL, CB, cfg)
+        _, alloc, _, _ = alternating_optimize(ch, CB, practical_table(ch), cfg)
         np.testing.assert_allclose(alloc.p, [cfg.max_power], rtol=1e-9)
 
     def test_trace_rows_enumerate_in_order(self):
         ch, cfg = tiny_channel(3, 4, 28)
-        _, _, _, trace = alternating_optimize(ch, MODEL, CB, cfg)
+        _, _, _, trace = alternating_optimize(ch, CB, practical_table(ch), cfg)
         rows = list(trace.rows())
         assert [r[1] for r in rows] == list(range(len(rows)))
         assert rows[0][0] == "init"
@@ -355,9 +294,9 @@ class TestAlternatingOptimize:
         # frozen output of the first validated run on this fixture
         cfg = SystemConfig(n_elements=3, n_subcarriers=8)
         ch = generate_channels(cfg, 0.6, 2024)
-        state, _, rate, _ = alternating_optimize(ch, MODEL, CB, cfg)
+        indices, _, rate, _ = alternating_optimize(ch, CB, practical_table(ch), cfg)
         np.testing.assert_allclose(rate, 11.194191727362508, rtol=1e-12)
-        assert state.indices.tolist() == [0, 0, 7]
+        assert indices.tolist() == [0, 0, 7]
 
 
 @st.composite
@@ -378,7 +317,8 @@ def alternation_instances(draw):
 @given(alternation_instances())
 def test_alternating_objective_never_decreases(instance):
     channel, cb, system, opt = instance
-    _, _, rate, trace = alternating_optimize(channel, MODEL, cb, system, settings=opt)
+    table = practical_table(channel, cb)
+    _, _, rate, trace = alternating_optimize(channel, cb, table, system, settings=opt)
     obj = trace.objectives
     assert np.all(np.diff(obj) >= -1e-12 * np.abs(obj[:-1]))
     assert trace.stages[-1] == "power"
@@ -387,27 +327,30 @@ def test_alternating_objective_never_decreases(instance):
 
 class TestIdealDesign:
     def test_state_carries_practical_reflection(self):
+        # the ideal scheme's rate is that of its indices on the practical table
         ch, cfg = tiny_channel(6, 6, 29)
-        state = ideal_design(ch, MODEL, CB, cfg)
-        table = reflection_table(MODEL, CB, ch.frequencies)
-        assert np.array_equal(state.phi, table[state.indices])
+        practical, ideal = design_tables(MODEL, CB, ch.frequencies)
+        rates = simulate_drop_rates(ch, CB, (practical, ideal), cfg, OptimizerSettings())
+        indices, _, _, _ = alternating_optimize(ch, CB, ideal, cfg)
+        g = combined_gains(ch.h_direct, ch.cascade, practical[indices])
+        gains = np.abs(g) ** 2
+        alloc = water_filling(gains, cfg.noise_variance, cfg.max_power)
+        np.testing.assert_allclose(rates["ideal"], mean_rate(alloc.p, gains, cfg.noise_variance),
+                                   rtol=1e-12)
 
     def test_practical_design_wins_on_seeded_drops(self):
         for angle, seed in [(0.6, 2024), (1.9, 77), (4.4, 13)]:
             ch, cfg = tiny_channel(8, 8, seed, angle)
-            _, _, r_practical, _ = alternating_optimize(ch, MODEL, CB, cfg)
-            state = ideal_design(ch, MODEL, CB, cfg)
-            gains = np.abs(effective_gains(ch, state)) ** 2
-            alloc = water_filling(gains, cfg.noise_variance, cfg.max_power)
-            r_ideal = np.mean(np.log2(1.0 + alloc.p * gains / cfg.noise_variance))
-            assert r_practical >= r_ideal - 1e-12
+            tables = design_tables(MODEL, CB, ch.frequencies)
+            rates = simulate_drop_rates(ch, CB, tables, cfg, OptimizerSettings())
+            assert rates["practical"] >= rates["ideal"] - 1e-12
 
 
 class TestExhaustiveSearch:
     def test_single_element_matches_enumeration(self):
         ch, cfg = tiny_channel(1, 3, 30)
-        state, alloc, rate = exhaustive_search(ch, MODEL, CB, cfg)
-        table = reflection_table(MODEL, CB, ch.frequencies)
+        table = practical_table(ch)
+        _, _, rate = exhaustive_search(ch, table, cfg)
         v = np.conj(ch.h_irs_user) * ch.g_ap_irs
         best = -1.0
         for s in range(CB.size):
@@ -421,11 +364,12 @@ class TestExhaustiveSearch:
         cb2 = codebook(2)
         for seed in range(10):
             ch, cfg = tiny_channel(3, 4, 100 + seed, angle=0.3 + 0.5 * seed)
-            _, _, r_exh = exhaustive_search(ch, MODEL, cb2, cfg)
-            _, _, r_alt, _ = alternating_optimize(ch, MODEL, cb2, cfg)
+            table = practical_table(ch, cb2)
+            _, _, r_exh = exhaustive_search(ch, table, cfg)
+            _, _, r_alt, _ = alternating_optimize(ch, cb2, table, cfg)
             assert r_alt <= r_exh + 1e-12
 
     def test_refuses_oversized_instances(self):
         ch, cfg = tiny_channel(10, 2, 31)
         with pytest.raises(ValueError):
-            exhaustive_search(ch, MODEL, CB, cfg)
+            exhaustive_search(ch, practical_table(ch), cfg)

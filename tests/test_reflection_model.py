@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsofdm.circuit import wrap_phase
+from irsofdm.optimizer import design_tables
 from irsofdm.reflection_model import (
     FitSample,
     ModelParams,
@@ -124,6 +127,36 @@ class TestModelReflection:
         for s, x in enumerate(cb.values):
             for k, f in enumerate(freqs):
                 assert table[s, k] == model_reflection(DEFAULTS, float(x), float(f))
+
+
+@st.composite
+def valid_models(draw):
+    """ModelParams with coefficients in [-100, 100] and an amplitude numerator
+    a4 x + b3 that stays positive on [-pi, pi]."""
+    coef = st.floats(-100.0, 100.0)
+    alpha1, alpha2, alpha3, beta1, beta2 = (draw(coef) for _ in range(5))
+    alpha4 = draw(st.floats(-10.0, 10.0))
+    beta3 = abs(alpha4) * np.pi + draw(st.floats(1e-3, 100.0))
+    return ModelParams(alpha1, alpha2, alpha3, alpha4, beta1, beta2, beta3)
+
+
+positive_frequencies = st.floats(0.0, 1e12, exclude_min=True)
+
+
+class TestPassivity:
+    @settings(max_examples=100, deadline=None)
+    @given(valid_models(), st.floats(-np.pi, np.pi), positive_frequencies)
+    def test_model_reflection_is_passive(self, params, x, f):
+        assert abs(model_reflection(params, x, f)) <= 1.0 + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_models(), st.integers(1, 8),
+           st.lists(positive_frequencies, min_size=1, max_size=16))
+    def test_design_tables_are_passive_and_ideal_is_unit(self, params, bits, freqs):
+        practical, ideal = design_tables(params, codebook(bits), np.array(freqs))
+        assert practical.shape == ideal.shape == (2 ** bits, len(freqs))
+        assert np.all(np.abs(practical) <= 1.0 + 1e-12)
+        assert np.all(np.abs(np.abs(ideal) - 1.0) <= 1e-15)
 
 
 class TestCodebook:

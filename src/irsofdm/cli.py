@@ -104,6 +104,9 @@ def _cmd_run(args):
         parts = ", ".join(f"{s} {result.mean_rate(value, s):.4f}" for s in
                           ("practical", "ideal", "no_irs"))
         print(f"{result.sweep_var} = {value}: {parts} bit/s/Hz", file=sys.stderr)
+    if result.nonconverged:
+        print(f"warning: {result.nonconverged} designs stopped at max_outer = "
+              f"{cfg.optimizer.max_outer} without converging", file=sys.stderr)
     return 0
 
 

@@ -45,7 +45,9 @@ def _water_filled_rate(g, system):
 
 
 def simulate_drop_rates(channel, cb, tables, system, settings):
-    """Achievable rate of each scheme on one channel realization.
+    """Achievable rate of each scheme on one channel realization, and the
+    number of its two designs that stopped at `settings.max_outer` without
+    converging.
 
     `tables` are the run's (practical, ideal) `design_tables`.
     practical: joint alternating design on the practical table.
@@ -55,11 +57,13 @@ def simulate_drop_rates(channel, cb, tables, system, settings):
     no_irs: water-filling over the direct link only.
     """
     practical, ideal = tables
-    _, _, r_practical, _ = alternating_optimize(channel, cb, practical, system, settings)
-    indices, _, _, _ = alternating_optimize(channel, cb, ideal, system, settings)
+    _, _, r_practical, trace_practical = alternating_optimize(channel, cb, practical, system,
+                                                              settings)
+    indices, _, _, trace_ideal = alternating_optimize(channel, cb, ideal, system, settings)
     g = combined_gains(channel.h_direct, channel.cascade, practical[indices])
-    return {"practical": r_practical, "ideal": _water_filled_rate(g, system),
-            "no_irs": _water_filled_rate(channel.h_direct, system)}
+    rates = {"practical": r_practical, "ideal": _water_filled_rate(g, system),
+             "no_irs": _water_filled_rate(channel.h_direct, system)}
+    return rates, (not trace_practical.converged) + (not trace_ideal.converged)
 
 
 def _design_inputs(cfg):
@@ -137,6 +141,7 @@ class RateSweepResult:
     seed: int
     n_drops: int
     per_drop: dict  # (sweep_value, scheme) -> (n_drops,) rates
+    nonconverged: int  # designs that stopped at max_outer without converging
 
     header = ("sweep_var", "sweep_value", "scheme", "mean_rate_bps_hz",
               "std_rate", "n_drops", "seed")
@@ -164,14 +169,16 @@ def run_rate_vs_power(cfg):
     cb, tables = _design_inputs(cfg)
     values = tuple(float(v) for v in cfg.power_sweep_dbm)
     per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
+    nonconverged = 0
     for drop in range(cfg.n_drops):
         channel = drop_channel(cfg.system, cfg.seed, drop)
         for v in values:
             system_p = dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v)))
-            rates = simulate_drop_rates(channel, cb, tables, system_p, cfg.optimizer)
+            rates, stalled = simulate_drop_rates(channel, cb, tables, system_p, cfg.optimizer)
+            nonconverged += stalled
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
-    return RateSweepResult("power_dbm", values, cfg.seed, cfg.n_drops, per_drop)
+    return RateSweepResult("power_dbm", values, cfg.seed, cfg.n_drops, per_drop, nonconverged)
 
 
 def run_rate_vs_elements(cfg):
@@ -185,15 +192,17 @@ def run_rate_vs_elements(cfg):
     n_max = max(values)
     system_full = dataclasses.replace(cfg.system, n_elements=n_max)
     per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
+    nonconverged = 0
     for drop in range(cfg.n_drops):
         channel_full = drop_channel(system_full, cfg.seed, drop)
         for v in values:
             channel = take_elements(channel_full, v)
             system_n = dataclasses.replace(cfg.system, n_elements=v)
-            rates = simulate_drop_rates(channel, cb, tables, system_n, cfg.optimizer)
+            rates, stalled = simulate_drop_rates(channel, cb, tables, system_n, cfg.optimizer)
+            nonconverged += stalled
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
-    return RateSweepResult("n_elements", values, cfg.seed, cfg.n_drops, per_drop)
+    return RateSweepResult("n_elements", values, cfg.seed, cfg.n_drops, per_drop, nonconverged)
 
 
 @dataclasses.dataclass

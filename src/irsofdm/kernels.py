@@ -12,6 +12,14 @@ Monte Carlo experiments.  Ties go to the lowest codebook index.  Each call
 first builds the (N, S, K) table of every element's contribution under every
 codebook entry, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
 element update only adds rows of it; the config loader caps N * S * K.
+
+Elements are scored a block at a time: each element of a block of
+consecutive elements is scored against the same field in one array pass,
+and the first element whose best entry differs from its current one is
+applied; the next block starts after it.  An element that keeps its entry
+leaves the field untouched, so every score up to the first move is the one
+the one-element loop computes, bit for bit.  The block is at most 16
+elements, so its (block, S, K) temporaries never exceed the (N, S, K) table.
 """
 
 from __future__ import annotations
@@ -19,6 +27,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+# elements scored per array pass: the first block, and the cap; a block also
+# ends at element N, so its (block, S, K) temporaries stay within the table
+_BLOCK_START = 8
+_BLOCK_CAP = 16
 
 
 class SweepResult(NamedTuple):
@@ -58,6 +71,11 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
 
     Returns a SweepResult; converged means the last sweep was a fixed point,
     which makes the returned indices coordinate-wise optimal for this p.
+
+    The result is that of visiting one element at a time, in ascending order;
+    the elements are scored in blocks of up to `_BLOCK_CAP` (see the module
+    docstring).  The block starts at `_BLOCK_START` elements, halves after a
+    block in which an element moved and doubles after one in which none did.
     """
     v = np.ascontiguousarray(v, dtype=np.complex128)
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
@@ -85,20 +103,35 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     sweep_rates = []
     converged = False
     vphi = v[:, None, :] * phi_table  # (N, S, K): every element under every entry
+    rows = vphi.reshape(n_el * n_cb, n_sc)  # row n * S + s is vphi[n, s]
+    first = np.arange(n_el) * n_cb
     base = combined_gains(h_d, v, phi_table[indices])
+    block = _BLOCK_START
     for _ in range(int(max_sweeps)):
         changed = False
-        for n in range(n_el):
-            vphi_n = vphi[n]
-            partial = base - vphi_n[indices[n]]
-            cand = partial + vphi_n
+        i0 = 0
+        while i0 < n_el:
+            i1 = min(i0 + block, n_el)
+            cur = indices[i0:i1]
+            # every element of the block scored against the same field
+            partial = base - rows[first[i0:i1] + cur]
+            cand = partial[:, None, :] + vphi[i0:i1]
             rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
-            s_best = int(rates.argmax())  # first max, lowest index on ties
-            if s_best != indices[n]:
+            best = rates.argmax(axis=1)  # first max, lowest index on ties
+            moved = best != cur
+            m = int(moved.argmax())
+            if moved[m]:
+                # the first mover changes the field; the scores after it are stale
+                s_best = int(best[m])
+                indices[i0 + m] = s_best
+                base = partial[m] + vphi[i0 + m, s_best]
                 changed = True
-                indices[n] = s_best
-            base = partial + vphi_n[s_best]
-            update_rates.append(float(rates[s_best]))
+                block = max(block // 2, 1)
+            else:
+                m = i1 - i0 - 1
+                block = min(2 * block, _BLOCK_CAP)
+            update_rates.extend(rates[np.arange(m + 1), best[:m + 1]].tolist())
+            i0 += m + 1
         # rebuild from scratch so incremental updates cannot drift
         base = combined_gains(h_d, v, phi_table[indices])
         sweep_rates.append(float(mean_rate(p, base.real ** 2 + base.imag ** 2, sigma2)))

@@ -11,6 +11,7 @@ import pytest
 import irsofdm
 from irsofdm.cli import main
 from irsofdm.config import ConfigError, load_config
+from irsofdm.experiments import run_rate_vs_power
 
 TINY = """
 scenario: rate-vs-power
@@ -182,6 +183,23 @@ class TestRun:
         body = np.loadtxt(out, delimiter=",", skiprows=1)
         assert body.shape == (5 * 11, 6)
         assert "max phase error" in capsys.readouterr().err
+
+    def test_nonconverged_designs_are_reported(self, tmp_path, capsys):
+        path = write(tmp_path, TINY + "optimizer: {max_outer: 1}\n")
+        stalled = run_rate_vs_power(load_config(path)).nonconverged
+        assert stalled > 0
+        assert main(["run", path, "--out", str(tmp_path / "rates.csv")]) == 0
+        assert (f"warning: {stalled} designs stopped at max_outer = 1 without converging"
+                in capsys.readouterr().err)
+
+    def test_default_run_reports_no_nonconvergence(self, tmp_path, capsys):
+        # the default config: rate-vs-power, N = 32, K = 16, 9 powers
+        rc = main(["run", write(tmp_path, "{}\n"), "--drops", "1",
+                   "--out", str(tmp_path / "rates.csv")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "power_dbm = " in err
+        assert "without converging" not in err
 
     def test_element_sweep_scenario(self, tmp_path):
         cfg = write(tmp_path, ("scenario: rate-vs-elements\n"

@@ -26,6 +26,48 @@ instances = st.builds(random_instance, st.integers(0, 2 ** 32 - 1), st.integers(
                       st.integers(1, 16), st.sampled_from([2, 4, 8]))
 
 
+@st.composite
+def tied_instances(draw):
+    """Instances up to 48 elements, with duplicated codebook rows and zero
+    cascade rows, so that many candidates tie exactly; plus a sweep cap."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_el, n_cb = draw(st.integers(0, 48)), draw(st.sampled_from([2, 4, 8]))
+    v, h_d, phi, p, sigma2, init = random_instance(seed, n_el, draw(st.integers(1, 16)), n_cb)
+    rng = np.random.default_rng(seed + 1)
+    if draw(st.booleans()):
+        phi = phi[rng.integers(0, n_cb, n_cb)]  # some entries repeat, some vanish
+    if draw(st.booleans()):
+        v[rng.random(n_el) < 0.3] = 0.0  # such an element scores every entry the same
+    max_sweeps = draw(st.integers(1, 3) | st.just(20))
+    return v, h_d, phi, p, sigma2, init, max_sweeps
+
+
+def reference_sweeps(v, h_d, phi, p, sigma2, init, max_sweeps):
+    """Plain one-element-at-a-time coordinate descent.  An element that keeps
+    its entry leaves the field untouched; a mover adds its new row."""
+    indices = np.array(init, dtype=np.int64)
+    vphi = v[:, None, :] * phi
+    base = combined_gains(h_d, v, phi[indices])
+    update_rates, sweep_rates = [], []
+    for _ in range(max_sweeps):
+        changed = False
+        for n in range(v.shape[0]):
+            partial = base - vphi[n, indices[n]]
+            cand = partial + vphi[n]
+            rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
+            s = int(rates.argmax())
+            if s != indices[n]:
+                indices[n] = s
+                base = partial + vphi[n, s]
+                changed = True
+            update_rates.append(float(rates[s]))
+        base = combined_gains(h_d, v, phi[indices])
+        sweep_rates.append(float(mean_rate(p, base.real ** 2 + base.imag ** 2, sigma2)))
+        if not changed:
+            return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), True)
+    return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), False)
+
+
 class TestCombinedGains:
     def test_zero_reflection_leaves_direct_link(self):
         v, h_d, _, _, _, _ = random_instance(11, 3, 4, 2)
@@ -65,6 +107,17 @@ class TestMeanRate:
 
 
 class TestNumpyKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_instances())
+    def test_bit_equal_to_one_element_loop(self, args):
+        # block scoring must reproduce the plain loop exactly, ties included
+        got = coordinate_descent_sweeps(*args[:-1], max_sweeps=args[-1])
+        want = reference_sweeps(*args)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.update_rates, want.update_rates)
+        assert np.array_equal(got.sweep_rates, want.sweep_rates)
+        assert got.converged == want.converged
+
     @settings(max_examples=100, deadline=None)
     @given(instances)
     def test_rates_monotone_within_noise(self, args):

@@ -330,7 +330,7 @@ class TestIdealDesign:
         # the ideal scheme's rate is that of its indices on the practical table
         ch, cfg = tiny_channel(6, 6, 29)
         practical, ideal = design_tables(MODEL, CB, ch.frequencies)
-        rates = simulate_drop_rates(ch, CB, (practical, ideal), cfg, OptimizerSettings())
+        rates, _ = simulate_drop_rates(ch, CB, (practical, ideal), cfg, OptimizerSettings())
         indices, _, _, _ = alternating_optimize(ch, CB, ideal, cfg)
         g = combined_gains(ch.h_direct, ch.cascade, practical[indices])
         gains = np.abs(g) ** 2
@@ -342,7 +342,7 @@ class TestIdealDesign:
         for angle, seed in [(0.6, 2024), (1.9, 77), (4.4, 13)]:
             ch, cfg = tiny_channel(8, 8, seed, angle)
             tables = design_tables(MODEL, CB, ch.frequencies)
-            rates = simulate_drop_rates(ch, CB, tables, cfg, OptimizerSettings())
+            rates, _ = simulate_drop_rates(ch, CB, tables, cfg, OptimizerSettings())
             assert rates["practical"] >= rates["ideal"] - 1e-12
 
 

@@ -20,13 +20,9 @@ from .circuit import (
 )
 from .reflection_model import (
     ModelParams,
-    PhaseCodebook,
     FitSample,
-    FitReport,
     FitConstraintError,
     codebook,
-    resonance_ghz,
-    phase_slope,
     model_phase,
     model_amplitude,
     model_reflection,
@@ -34,11 +30,8 @@ from .reflection_model import (
     fit_model,
 )
 from .channel import (
-    PathLossExponents,
     SystemConfig,
-    ChannelRealization,
     dbm_to_watts,
-    watts_to_dbm,
     path_loss_gain,
     subcarrier_frequencies,
     ap_user_distance,
@@ -49,9 +42,7 @@ from .optimizer import (
     OptimizerSettings,
     PowerAllocation,
     PowerAllocationError,
-    OptimizationTrace,
     water_filling,
-    alignment_init,
     design_tables,
     alternating_optimize,
     exhaustive_search,

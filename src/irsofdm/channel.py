@@ -13,6 +13,7 @@ l / bandwidth, so the frequency response at subcarrier k is
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -45,9 +46,12 @@ def subcarrier_frequencies(center_frequency, bandwidth, n_subcarriers):
 
 def ap_user_distance(d_ap_irs, d_irs_user, user_angle):
     """AP-user distance by the law of cosines; angle 0 puts the user on the
-    AP side of the surface."""
-    return float(np.sqrt(d_ap_irs ** 2 + d_irs_user ** 2
-                         - 2.0 * d_ap_irs * d_irs_user * np.cos(user_angle)))
+    AP side of the surface.  Sides beyond 2**500 m are first scaled by an
+    exact power of two, so that their squares do not overflow."""
+    e = max(math.frexp(max(d_ap_irs, d_irs_user))[1] - 500, 0)
+    a, b = math.ldexp(d_ap_irs, -e), math.ldexp(d_irs_user, -e)
+    with np.errstate(over="ignore"):  # inf only for a distance beyond the float range
+        return float(np.ldexp(np.sqrt(a ** 2 + b ** 2 - 2.0 * a * b * np.cos(user_angle)), e))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +90,16 @@ class SystemConfig:
             raise ValueError("noise variance must be positive")
         if self.d_ap_irs < 1.0 or self.d_irs_user < 1.0:
             raise ValueError("distances below the 1 m reference are outside the model")
+        a, b, e = self.d_ap_irs, self.d_irs_user, self.exponents
+        if abs(a - b) < 1.0:
+            raise ValueError("need |d_ap_irs - d_irs_user| >= 1 m, the AP-user distance "
+                             "at user angle 0")
+        with np.errstate(all="ignore"):  # AP-user gain is monotone in distance: check both ends
+            gains = path_loss_gain([a, b, abs(a - b), a + b],
+                                   np.array([e.ap_irs, e.irs_user, e.ap_user, e.ap_user]),
+                                   self.ref_attenuation_db)
+        if not np.all((gains > 0.0) & (gains < np.inf)):
+            raise ValueError("the path loss settings give a mean link gain of 0 or inf")
         if self.n_taps < 1:
             raise ValueError("need at least one tap")
 

@@ -77,13 +77,16 @@ def impedance(params, c, f):
     f = np.asarray(f, dtype=float)
     if np.any(c <= 0.0) or np.any(f <= 0.0):
         raise ValueError("capacitance and frequency must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         w = 2.0 * np.pi * f
         # series branch keeps the real part exactly r, so r = 0 stays lossless
         # in floating point instead of picking up rounding dust
         series = params.r + 1j * (w * params.l2 - 1.0 / (w * c))
         shunt = 1j * (w * params.l1)
-        z = shunt * series / (shunt + series)
+        try:
+            z = shunt * series / (shunt + series)
+        except ZeroDivisionError:  # scalar inputs divide Python complex numbers
+            z = complex("nan")
     if not np.all(np.isfinite(z)):
         raise SingularCircuitError("impedance is non-finite; branch admittances cancel")
     return z

@@ -83,6 +83,10 @@ class ExperimentConfig:
             raise ValueError("need at least one drop")
         if not len(self.power_sweep_dbm):
             raise ValueError("power sweep cannot be empty")
+        with np.errstate(over="ignore"):
+            budgets = dbm_to_watts(self.power_sweep_dbm)
+        if not np.all((budgets > 0.0) & (budgets < np.inf)):
+            raise ValueError("every power_sweep_dbm point must be a finite budget above 0 W")
         if not len(self.element_sweep):
             raise ValueError("element sweep cannot be empty")
         if any(n < 0 for n in self.element_sweep):

@@ -22,19 +22,12 @@ from .reflection_model import codebook, model_amplitude, model_phase
 SCHEMES = ("practical", "ideal", "no_irs")
 
 
-def _drop_user_angle(seed, drop):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, drop, 1)))
-    return float(rng.uniform(0.0, 2.0 * np.pi))
-
-
-def _drop_channel_seed(seed, drop):
-    return int(np.random.SeedSequence((seed, drop)).generate_state(1)[0])
-
-
 def drop_channel(system, seed, drop):
     """The channel realization of Monte Carlo drop `drop` under `seed`."""
-    return generate_channels(system, _drop_user_angle(seed, drop),
-                             _drop_channel_seed(seed, drop))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, drop, 1)))
+    angle = float(rng.uniform(0.0, 2.0 * np.pi))
+    channel_seed = int(np.random.SeedSequence((seed, drop)).generate_state(1)[0])
+    return generate_channels(system, angle, channel_seed)
 
 
 def _water_filled_rate(g, system):
@@ -108,6 +101,15 @@ class ModelValidationResult:
                        float(c.circuit_phase[i]), float(c.circuit_amplitude[i]),
                        float(c.model_phase[i]), float(c.model_amplitude[i]))
 
+    def summary(self):
+        """Lines for stderr: each curve's errors, then each unreachable target."""
+        for c in self.curves:
+            yield (f"target {c.target_phase_deg:+.1f} deg: "
+                   f"max phase error {c.max_phase_error:.4f} rad, "
+                   f"max amplitude error {c.max_amplitude_error:.4f}")
+        for deg, message in self.errors:
+            yield f"target {deg:+.1f} deg failed: {message}"
+
 
 def run_model_validation(cfg):
     """Sweep circuit and model responses for each target phase.
@@ -142,6 +144,7 @@ class RateSweepResult:
     n_drops: int
     per_drop: dict  # (sweep_value, scheme) -> (n_drops,) rates
     nonconverged: int  # designs that stopped at max_outer without converging
+    max_outer: int
 
     header = ("sweep_var", "sweep_value", "scheme", "mean_rate_bps_hz",
               "std_rate", "n_drops", "seed")
@@ -157,52 +160,56 @@ class RateSweepResult:
                 yield (self.sweep_var, value, scheme, float(np.mean(rates)),
                        std, self.n_drops, self.seed)
 
+    def summary(self):
+        """Lines for stderr: the mean rates at each point, then any non-convergence."""
+        for value in self.sweep_values:
+            parts = ", ".join(f"{s} {self.mean_rate(value, s):.4f}" for s in SCHEMES)
+            yield f"{self.sweep_var} = {value}: {parts} bit/s/Hz"
+        if self.nonconverged:
+            yield (f"warning: {self.nonconverged} designs stopped at max_outer = "
+                   f"{self.max_outer} without converging")
+
+
+def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
+    """Mean rate of every scheme at each sweep point, on shared drops.
+
+    Point i designs with `systems[i]` on the first `element_counts[i]`
+    elements of each drop's channel.  A drop's channel is drawn once, at the
+    largest count, so every point sees the same drops and a smaller surface a
+    subset of the same elements; small mean differences are then paired
+    comparisons.
+    """
+    cb, tables = _design_inputs(cfg)
+    system_full = dataclasses.replace(cfg.system, n_elements=max(element_counts))
+    per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
+    nonconverged = 0
+    for drop in range(cfg.n_drops):
+        channel = drop_channel(system_full, cfg.seed, drop)
+        for v, system, n in zip(values, systems, element_counts):
+            rates, stalled = simulate_drop_rates(take_elements(channel, n), cb, tables, system,
+                                                 cfg.optimizer)
+            nonconverged += stalled
+            for s in SCHEMES:
+                per_drop[(v, s)][drop] = rates[s]
+    return RateSweepResult(sweep_var, values, cfg.seed, cfg.n_drops, per_drop, nonconverged,
+                           cfg.optimizer.max_outer)
+
 
 def run_rate_vs_power(cfg):
     """Mean rate of every scheme across a transmit power sweep.
 
-    The same channel drops are reused at every power, so scheme curves move
-    together and small mean differences are paired comparisons.  Each point
-    of `cfg.power_sweep_dbm` is the transmit budget there;
+    Each point of `cfg.power_sweep_dbm` is the transmit budget there;
     `cfg.system.max_power` is not used.
     """
-    cb, tables = _design_inputs(cfg)
     values = tuple(float(v) for v in cfg.power_sweep_dbm)
-    per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
-    nonconverged = 0
-    for drop in range(cfg.n_drops):
-        channel = drop_channel(cfg.system, cfg.seed, drop)
-        for v in values:
-            system_p = dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v)))
-            rates, stalled = simulate_drop_rates(channel, cb, tables, system_p, cfg.optimizer)
-            nonconverged += stalled
-            for s in SCHEMES:
-                per_drop[(v, s)][drop] = rates[s]
-    return RateSweepResult("power_dbm", values, cfg.seed, cfg.n_drops, per_drop, nonconverged)
+    systems = [dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v))) for v in values]
+    return _rate_sweep(cfg, "power_dbm", values, systems, [cfg.system.n_elements] * len(values))
 
 
 def run_rate_vs_elements(cfg):
-    """Mean rate of every scheme across element counts.
-
-    Channels are generated once per drop at the largest count and sliced, so
-    smaller surfaces see a subset of the same elements.
-    """
-    cb, tables = _design_inputs(cfg)
+    """Mean rate of every scheme across the element counts of `cfg.element_sweep`."""
     values = tuple(int(n) for n in cfg.element_sweep)
-    n_max = max(values)
-    system_full = dataclasses.replace(cfg.system, n_elements=n_max)
-    per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
-    nonconverged = 0
-    for drop in range(cfg.n_drops):
-        channel_full = drop_channel(system_full, cfg.seed, drop)
-        for v in values:
-            channel = take_elements(channel_full, v)
-            system_n = dataclasses.replace(cfg.system, n_elements=v)
-            rates, stalled = simulate_drop_rates(channel, cb, tables, system_n, cfg.optimizer)
-            nonconverged += stalled
-            for s in SCHEMES:
-                per_drop[(v, s)][drop] = rates[s]
-    return RateSweepResult("n_elements", values, cfg.seed, cfg.n_drops, per_drop, nonconverged)
+    return _rate_sweep(cfg, "n_elements", values, [cfg.system] * len(values), values)
 
 
 @dataclasses.dataclass
@@ -214,6 +221,10 @@ class TraceResult:
 
     def rows(self):
         return self.trace.rows()
+
+    def summary(self):
+        yield (f"final rate {self.final_rate:.6f} bit/s/Hz after "
+               f"{self.trace.n_sweeps} sweeps (converged: {self.trace.converged})")
 
 
 def run_convergence_trace(cfg):

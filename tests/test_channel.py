@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from irsofdm.channel import (
+    PathLossExponents,
     SystemConfig,
     ap_user_distance,
     dbm_to_watts,
@@ -72,6 +73,12 @@ class TestGeometry:
     def test_right_angle(self):
         np.testing.assert_allclose(ap_user_distance(50.0, 2.0, np.pi / 2),
                                    np.sqrt(2504.0), rtol=1e-15)
+
+    def test_long_sides_do_not_overflow(self):
+        assert ap_user_distance(1e200, 2.0, 0.0) == 1e200
+        np.testing.assert_allclose(ap_user_distance(3e300, 4e300, np.pi / 2), 5e300,
+                                   rtol=1e-15)
+        assert ap_user_distance(1e308, 1e308, np.pi) == np.inf
 
 
 SMALL = SystemConfig(n_elements=2, n_subcarriers=4)
@@ -170,3 +177,21 @@ class TestSystemConfigValidation:
             SystemConfig(d_irs_user=0.5)
         with pytest.raises(ValueError):
             SystemConfig(n_taps=0)
+
+    @pytest.mark.parametrize("kw", [
+        # some user angles put the user within 1 m of the AP
+        dict(d_ap_irs=2.0, d_irs_user=2.0),
+        dict(d_ap_irs=2.0, d_irs_user=1.5),
+        # the AP-user gain underflows to 0 at the far extreme
+        dict(d_ap_irs=1e200),
+        # ... or overflows to inf at the near one
+        dict(ref_attenuation_db=-400.0, d_ap_irs=3e11,
+             exponents=PathLossExponents(ap_user=-66.0)),
+        dict(exponents=PathLossExponents(ap_irs=-1e300)),
+    ])
+    def test_rejects_geometry_outside_the_link_model(self, kw):
+        with pytest.raises(ValueError):
+            SystemConfig(**kw)
+
+    def test_accepts_an_ap_user_distance_of_exactly_one_metre(self):
+        SystemConfig(d_ap_irs=3.0, d_irs_user=2.0)

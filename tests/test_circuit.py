@@ -69,6 +69,12 @@ class TestImpedance:
         with pytest.raises(SingularCircuitError):
             impedance(PARAMS, 1e-12, 1e308)
 
+    @pytest.mark.parametrize("c", [1.3742565055655624e-12, np.array([1.3742565055655624e-12])])
+    def test_lossless_resonance_raises_singular_error(self, c):
+        # at this capacitance the lossless branches cancel exactly at 2.4 GHz
+        with pytest.raises(SingularCircuitError):
+            impedance(CircuitParams(r=0.0), c, 2.4e9)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             CircuitParams(l1=0.0)

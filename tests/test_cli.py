@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,14 @@ class TestValidateConfig:
         "system: {n_elements: 2, n_subcarriers: 2}\n",
         # one drop beyond the cap of 2**26 rates at 9 powers
         "n_drops: 2485514\n",
+        # sweep budgets that overflow to inf W or underflow to 0 W
+        "power_sweep_dbm: [1.0e5]\n",
+        "power_sweep_dbm: [0, -1.0e5]\n",
+        # AP-user gains that underflow to 0 or overflow to inf
+        "system: {d_ap_irs_m: 1.0e200}\n",
+        "system: {ref_attenuation_db: -400, pathloss_exponent_ap_user: -66, d_ap_irs_m: 3.0e11}\n",
+        # some drops would put the user within 1 m of the AP
+        "system: {d_ap_irs_m: 2, d_irs_user_m: 2}\nn_drops: 20\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -174,6 +183,12 @@ class TestRun:
         assert rc == 3
         assert "failed" in capsys.readouterr().err
 
+    def test_singular_circuit_is_numerical_failure(self, tmp_path, capsys):
+        # the lossless circuit's branches cancel at a capacitance the phase solver visits
+        cfg = write(tmp_path, "scenario: model-validation\ncircuit: {r_ohm: 0.0}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "val.csv")]) == 3
+        assert "numerical failure: impedance is non-finite" in capsys.readouterr().err
+
     def test_model_validation_writes_curves(self, tmp_path, capsys):
         cfg = write(tmp_path, ("scenario: model-validation\n"
                                "validation:\n  n_points: 11\n"))
@@ -211,6 +226,28 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
         assert lines[1].split(",")[0] == "n_elements"
+
+
+RATES = r"practical \d+\.\d{4}, ideal \d+\.\d{4}, no_irs \d+\.\d{4} bit/s/Hz"
+PHASE_ERRORS = r"max phase error \d+\.\d{4} rad, max amplitude error \d+\.\d{4}"
+
+
+@pytest.mark.parametrize("scenario, extra, lines", [
+    ("model-validation", "validation: {n_points: 3, target_phases_deg: [0, -60]}\n",
+     [rf"target \+0\.0 deg: {PHASE_ERRORS}", rf"target -60\.0 deg: {PHASE_ERRORS}"]),
+    ("rate-vs-power", "", [rf"power_dbm = 0\.0: {RATES}", rf"power_dbm = 10\.0: {RATES}"]),
+    ("rate-vs-elements", "element_sweep: [0, 2]\n",
+     [rf"n_elements = 0: {RATES}", rf"n_elements = 2: {RATES}"]),
+    ("convergence-trace", "",
+     [r"final rate \d+\.\d{6} bit/s/Hz after \d+ sweeps \(converged: (True|False)\)"]),
+])
+def test_every_scenario_prints_its_summary(tmp_path, capsys, scenario, extra, lines):
+    cfg = write(tmp_path, TINY + extra)
+    assert main(["run", cfg, "--scenario", scenario, "--out", str(tmp_path / "out.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(lines)
+    for line, pattern in zip(err, lines):
+        assert re.fullmatch(pattern, line), line
 
 
 def test_cli_import_leaves_scipy_optimize_out():

@@ -141,6 +141,30 @@ class TestRateVsElements:
         assert set(result.per_drop) == {(4, s) for s in SCHEMES}
 
 
+class TestSharedDropLoop:
+    def test_sweeps_agree_where_their_points_coincide(self):
+        # N = 4 at the configured 1 W budget (30 dBm) is a point of both sweeps
+        cfg = tiny_config(power_sweep_dbm=(30.0,), element_sweep=(4,))
+        by_power = run_rate_vs_power(cfg).per_drop
+        by_elements = run_rate_vs_elements(cfg).per_drop
+        for s in SCHEMES:
+            np.testing.assert_array_equal(by_power[(30.0, s)], by_elements[(4, s)])
+
+    @pytest.mark.parametrize("run", [run_rate_vs_power, run_rate_vs_elements])
+    def test_systems_are_built_per_run_not_per_drop(self, monkeypatch, run):
+        built = []
+        check = SystemConfig.__post_init__
+        monkeypatch.setattr(SystemConfig, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        cfg = tiny_config(element_sweep=(2, 4))
+        counts = []
+        for n_drops in (1, 3):
+            built.clear()
+            run(dataclasses.replace(cfg, n_drops=n_drops))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """Count the calls to the reflection table builder the designs use."""

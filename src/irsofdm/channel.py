@@ -90,18 +90,23 @@ class SystemConfig:
             raise ValueError("noise variance must be positive")
         if self.d_ap_irs < 1.0 or self.d_irs_user < 1.0:
             raise ValueError("distances below the 1 m reference are outside the model")
-        a, b, e = self.d_ap_irs, self.d_irs_user, self.exponents
-        if abs(a - b) < 1.0:
+        if abs(self.d_ap_irs - self.d_irs_user) < 1.0:
             raise ValueError("need |d_ap_irs - d_irs_user| >= 1 m, the AP-user distance "
                              "at user angle 0")
-        with np.errstate(all="ignore"):  # AP-user gain is monotone in distance: check both ends
-            gains = path_loss_gain([a, b, abs(a - b), a + b],
-                                   np.array([e.ap_irs, e.irs_user, e.ap_user, e.ap_user]),
-                                   self.ref_attenuation_db)
+        gains = self.mean_link_gains()
         if not np.all((gains > 0.0) & (gains < np.inf)):
             raise ValueError("the path loss settings give a mean link gain of 0 or inf")
         if self.n_taps < 1:
             raise ValueError("need at least one tap")
+
+    def mean_link_gains(self):
+        """Mean gains of the AP-surface, surface-user and, at its shortest and
+        longest distance, AP-user links; 0 or inf beyond the float range."""
+        a, b, e = self.d_ap_irs, self.d_irs_user, self.exponents
+        with np.errstate(all="ignore"):  # AP-user gain is monotone in distance: both ends bound it
+            return path_loss_gain([a, b, abs(a - b), a + b],
+                                  np.array([e.ap_irs, e.irs_user, e.ap_user, e.ap_user]),
+                                  self.ref_attenuation_db)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

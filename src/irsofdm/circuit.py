@@ -87,20 +87,18 @@ def impedance(params, c, f):
             z = shunt * series / (shunt + series)
         except ZeroDivisionError:  # scalar inputs divide Python complex numbers
             z = complex("nan")
-    if not np.all(np.isfinite(z)):
-        raise SingularCircuitError("impedance is non-finite; branch admittances cancel")
+    bad = ~np.isfinite(z)
+    if np.any(bad):  # name the first frequency where it is
+        f_bad = float(np.broadcast_to(f, bad.shape)[bad][0])
+        raise SingularCircuitError(f"impedance is non-finite at f = {f_bad!r} Hz")
     return z
 
 
 def reflection(params, c, f):
-    """Complex reflection coefficient (Z - Z0) / (Z + Z0)."""
+    """Complex reflection coefficient (Z - Z0) / (Z + Z0); Re Z >= 0 and
+    Z0 > 0, so the denominator is never zero."""
     z = impedance(params, c, f)
-    denom = z + params.z0
-    if np.any(denom == 0.0):
-        # cannot happen for a passive circuit (Re Z >= 0 < Z0) but the
-        # guard keeps a degenerate parameterization from dividing by zero
-        raise ZeroDivisionError("Z == -Z0, reflection undefined")
-    return (z - params.z0) / denom
+    return (z - params.z0) / (z + params.z0)
 
 
 def sweep_reflection(params, c, f_grid):
@@ -109,31 +107,22 @@ def sweep_reflection(params, c, f_grid):
     Returns (amplitude, phase) arrays in grid order, the phase wrapped to
     [-pi, pi) radians.
     """
-    f_grid = np.asarray(f_grid, dtype=float)
-    try:
-        phi = reflection(params, c, f_grid)
-    except SingularCircuitError as exc:
-        # re-evaluate pointwise to name the offending frequency
-        for f in np.atleast_1d(f_grid):
-            try:
-                impedance(params, c, float(f))
-            except SingularCircuitError:
-                raise SingularCircuitError(f"impedance non-finite at f = {f!r} Hz") from exc
-        raise
-    phi = np.atleast_1d(phi)
+    phi = np.atleast_1d(reflection(params, c, np.asarray(f_grid, dtype=float)))
     return np.abs(phi), wrap_phase(np.angle(phi))
 
 
-# solve_capacitance: points of the capacitance scan, then bisection steps
+# solve_capacitance: points of the capacitance scan, bisection steps, and the
+# largest wrapped phase miss (radians) it returns instead of raising
 _SCAN_POINTS = 512
 _BISECT_STEPS = 60
+_PHASE_TOL = np.deg2rad(1.0)
 
 
 def _phase_error(params, c, f_c, target_phase):
     return float(wrap_phase(np.angle(reflection(params, c, f_c)) - target_phase))
 
 
-def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0)):
+def solve_capacitance(params, target_phase, f_c):
     """Find the capacitance whose reflection phase at `f_c` hits `target_phase`.
 
     Scans a uniform grid over [c_min, c_max], then bisects the sign change of
@@ -142,7 +131,8 @@ def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0)):
 
     Returns (capacitance, achieved_distance) with the distance in radians.
     Raises UnreachablePhaseError if the best achievable wrapped distance
-    exceeds `tol`; the error carries the best capacitance anyway.
+    exceeds 1 degree; the error carries the best capacitance and its distance
+    anyway.
     """
     target_phase = float(target_phase)
     if not (-np.pi <= target_phase < np.pi):
@@ -182,7 +172,7 @@ def solve_capacitance(params, target_phase, f_c, *, tol=np.deg2rad(1.0)):
             if d < best_d:
                 best_c, best_d = c, d
 
-    if best_d > tol:
+    if best_d > _PHASE_TOL:
         raise UnreachablePhaseError(
             f"target phase {target_phase:.6f} rad unreachable at f = {f_c:.4g} Hz; "
             f"best C = {best_c:.6g} F misses by {np.rad2deg(best_d):.3f} deg",

@@ -35,6 +35,12 @@ SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergen
 # per-drop results (n_drops per sweep point and scheme) are capped on their own.
 MAX_WORKING_VALUES = 2 ** 26
 
+# Ceiling on the mean received gain, power (W) and SNR, with every element in
+# phase at the largest budget and element count.  A Rayleigh power exceeds its
+# mean t-fold with probability about exp(-t), so 1e200 leaves the squared gains
+# and the rates 1e108 of headroom for the tails below the float range (1.8e308).
+MAX_MEAN_RECEIVED = 1e200
+
 
 @dataclasses.dataclass(frozen=True)
 class ValidationSettings:
@@ -104,6 +110,14 @@ class ExperimentConfig:
             raise ValueError(f"{n_max} elements x {per_element} codebook entries or taps x "
                              f"{self.system.n_subcarriers} subcarriers = {size} values "
                              f"exceed the cap of {MAX_WORKING_VALUES}")
+        g_ai, g_iu, *g_au = self.system.mean_link_gains()
+        with np.errstate(over="ignore"):
+            received = max(g_au) + n_max ** 2 * g_ai * g_iu
+            power = max(self.system.max_power, budgets.max()) * received
+            snr = power / self.system.noise_variance
+        if not max(received, power, snr) <= MAX_MEAN_RECEIVED:
+            raise ValueError(f"mean received gain {received:.3g}, power {power:.3g} W or SNR "
+                             f"{snr:.3g} exceeds the ceiling of {MAX_MEAN_RECEIVED:g}")
 
 
 def default_config(scenario="rate-vs-power"):

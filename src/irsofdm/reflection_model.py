@@ -28,7 +28,7 @@ from .circuit import wrap_phase
 _GHZ = 1e9
 _WIDTH_GHZ = 0.05  # resonance width scale of the amplitude dip
 # fit_model: weight of the squared amplitude errors against the squared phase
-# errors, and the objective evaluations each restart may spend
+# errors, and the objective evaluations the descent may spend
 _FIT_AMP_WEIGHT = 4.0
 _FIT_EVALS = 20000
 
@@ -53,9 +53,7 @@ class ModelParams:
         vec = self.as_array()
         if not np.all(np.isfinite(vec)):
             raise ValueError("model coefficients must be finite")
-        # amplitude numerator a4*x + b3 is linear in x, so positivity on
-        # [-pi, pi] reduces to the endpoints
-        if min(self.beta3 - self.alpha4 * np.pi, self.beta3 + self.alpha4 * np.pi) <= 0.0:
+        if _validity_margin(vec) <= 0.0:
             raise ValueError("amplitude numerator must stay positive on [-pi, pi]")
 
     def as_array(self):
@@ -67,44 +65,55 @@ class ModelParams:
         return cls(*(float(v) for v in vec))
 
 
-def _check_center(center_phase):
+def _validity_margin(coef):
+    """Least value of the amplitude numerator a4 * x + b3 of the coefficient
+    vector `coef` on [-pi, pi]; it is linear in x, so an endpoint holds it."""
+    a4, b3 = coef[3], coef[6]
+    return min(b3 - a4 * np.pi, b3 + a4 * np.pi)
+
+
+def _curves(coef, center_phase, f=None):
+    """(F1, F2, theta, A) of the coefficient vector `coef` at the target
+    phases `center_phase`; theta and A at frequencies `f` in Hz, else None."""
     x = np.asarray(center_phase, dtype=float)
     if np.any(np.abs(x) > np.pi):
         raise ValueError("center phase must lie in [-pi, pi]")
-    return x
+    a1, a2, a3, a4, b1, b2, b3 = coef
+    f1 = a1 * np.tan(x / 3.0) + a2 * np.sin(x) + b1
+    f2 = a3 * x + b2
+    if f is None:
+        return f1, f2, None, None
+    detune_ghz = np.asarray(f, dtype=float) / _GHZ - f1
+    theta = -2.0 * np.arctan(f2 * detune_ghz)
+    detune = detune_ghz / _WIDTH_GHZ
+    amplitude = np.clip(1.0 - (a4 * x + b3) / (detune * detune + 4.0), 0.0, 1.0)
+    return f1, f2, theta, amplitude
 
 
 def resonance_ghz(params, center_phase):
     """Resonance location F1 in GHz as a function of the target phase."""
-    x = _check_center(center_phase)
-    return params.alpha1 * np.tan(x / 3.0) + params.alpha2 * np.sin(x) + params.beta1
+    return _curves(params.as_array(), center_phase)[0]
 
 
 def phase_slope(params, center_phase):
     """Phase steepness F2 around the resonance."""
-    x = _check_center(center_phase)
-    return params.alpha3 * x + params.beta2
+    return _curves(params.as_array(), center_phase)[1]
 
 
 def model_phase(params, center_phase, f):
     """Reflection phase theta(x, f) in radians, always inside (-pi, pi)."""
-    f_ghz = np.asarray(f, dtype=float) / _GHZ
-    return -2.0 * np.arctan(phase_slope(params, center_phase)
-                            * (f_ghz - resonance_ghz(params, center_phase)))
+    return _curves(params.as_array(), center_phase, f)[2]
 
 
 def model_amplitude(params, center_phase, f):
     """Reflection amplitude A(x, f), clamped to [0, 1]."""
-    x = _check_center(center_phase)
-    f_ghz = np.asarray(f, dtype=float) / _GHZ
-    detune = (f_ghz - resonance_ghz(params, x)) / _WIDTH_GHZ
-    a = 1.0 - (params.alpha4 * x + params.beta3) / (detune * detune + 4.0)
-    return np.clip(a, 0.0, 1.0)
+    return _curves(params.as_array(), center_phase, f)[3]
 
 
 def model_reflection(params, center_phase, f):
     """Complex reflection coefficient A(x, f) * exp(j * theta(x, f))."""
-    return model_amplitude(params, center_phase, f) * np.exp(1j * model_phase(params, center_phase, f))
+    _, _, theta, amplitude = _curves(params.as_array(), center_phase, f)
+    return amplitude * np.exp(1j * theta)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -158,21 +167,15 @@ class FitReport:
     max_amplitude_error: np.ndarray
     objective_init: float
     objective_final: float
-    n_evaluations: int
     no_improvement: bool
 
 
 def _fit_objective(vec, x, f, obs_phase, obs_amp):
-    a1, a2, a3, a4, b1, b2, b3 = vec
-    margin = min(b3 - a4 * np.pi, b3 + a4 * np.pi)
+    margin = _validity_margin(vec)
     if margin <= 0.0:
         # steer the simplex back inside the validity region
         return 1e12 * (1.0 + abs(margin))
-    f1 = a1 * np.tan(x / 3.0) + a2 * np.sin(x) + b1
-    f2 = a3 * x + b2
-    detune_ghz = f / _GHZ - f1
-    phase = -2.0 * np.arctan(f2 * detune_ghz)
-    amp = np.clip(1.0 - (a4 * x + b3) / ((detune_ghz / _WIDTH_GHZ) ** 2 + 4.0), 0.0, 1.0)
+    _, _, phase, amp = _curves(vec, x, f)
     dphi = wrap_phase(phase - obs_phase)
     val = float(np.dot(dphi, dphi) + _FIT_AMP_WEIGHT * np.sum((amp - obs_amp) ** 2))
     if not np.isfinite(val):
@@ -180,13 +183,13 @@ def _fit_objective(vec, x, f, obs_phase, obs_amp):
     return val
 
 
-def fit_model(samples, init=None, *, n_restarts=5, seed=0):
+def fit_model(samples, init=None):
     """Refit the model coefficients to sampled circuit curves.
 
     Minimizes the sum of squared wrapped phase errors plus `_FIT_AMP_WEIGHT`
-    times the squared amplitude errors, using Nelder-Mead simplex descent from
-    `init` and from `n_restarts - 1` perturbed copies of it.  Deterministic
-    for a fixed seed.
+    times the squared amplitude errors by Nelder-Mead simplex descent from
+    `init`, restarted from its own result while that still improves it.
+    Deterministic: the same samples and `init` give the same coefficients.
 
     Parameters
     ----------
@@ -199,8 +202,9 @@ def fit_model(samples, init=None, *, n_restarts=5, seed=0):
     Returns
     -------
     (ModelParams, FitReport)
-        The fitted coefficients (or `init` if no restart improved on it, with
-        the report's no_improvement flag set) and per-curve error maxima.
+        The fitted coefficients (or `init` if the descent did not improve on
+        it, with the report's no_improvement flag set) and per-curve error
+        maxima.
     """
     import scipy.optimize  # about 0.7 s to import, and only the fit needs it
 
@@ -216,37 +220,18 @@ def fit_model(samples, init=None, *, n_restarts=5, seed=0):
 
     if init is None:
         init = ModelParams()
-    v0 = init.as_array()
     args = (x, f, obs_phase, obs_amp)
-    obj_init = _fit_objective(v0, *args)
-
-    rng = np.random.default_rng(seed)
-    best_vec, best_obj = v0.copy(), obj_init
-    n_evals = 0
-    for restart in range(n_restarts):
-        if restart == 0:
-            start = v0.copy()
-        else:
-            # small multiplicative kicks; additive floor keeps zero entries live
-            kick = rng.uniform(-0.05, 0.05, size=v0.size)
-            start = v0 * (1.0 + kick) + 0.01 * rng.standard_normal(v0.size) * (v0 == 0.0)
-        budget = _FIT_EVALS
-        current = start
-        current_obj = _fit_objective(current, *args)
-        n_evals += 1
-        while budget > 100:
-            res = scipy.optimize.minimize(
-                _fit_objective, current, args=args, method="Nelder-Mead",
-                options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14,
-                         "adaptive": True})
-            n_evals += res.nfev
-            budget -= res.nfev
-            if res.fun < current_obj - 1e-15:
-                current, current_obj = res.x, res.fun
-            else:
-                break
-        if current_obj < best_obj:
-            best_vec, best_obj = np.asarray(current, dtype=float), current_obj
+    best_vec = init.as_array()
+    obj_init = best_obj = _fit_objective(best_vec, *args)
+    budget = _FIT_EVALS
+    while budget > 100:
+        res = scipy.optimize.minimize(
+            _fit_objective, best_vec, args=args, method="Nelder-Mead",
+            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True})
+        budget -= res.nfev
+        if not res.fun < best_obj - 1e-15:
+            break
+        best_vec, best_obj = res.x, res.fun
 
     no_improvement = not best_obj < obj_init - 1e-12 * max(1.0, abs(obj_init))
     if no_improvement:
@@ -266,5 +251,5 @@ def fit_model(samples, init=None, *, n_restarts=5, seed=0):
         max_phi[i] = np.max(np.abs(wrap_phase(model_phase(fitted, c, f[sel]) - obs_phase[sel])))
         max_amp[i] = np.max(np.abs(model_amplitude(fitted, c, f[sel]) - obs_amp[sel]))
     report = FitReport(centers, max_phi, max_amp, float(obj_init), float(best_obj),
-                       int(n_evals), no_improvement)
+                       no_improvement)
     return fitted, report

@@ -87,7 +87,7 @@ def test_analytic_model_tracks_circuit(capsys):
         for x, (phs, ams) in curves.items()
         for f, ph, am in zip(freqs, phs, ams)
     ]
-    fitted, _ = fit_model(samples, n_restarts=2)
+    fitted, _ = fit_model(samples)
     fit_phase, fit_amp = _model_errors(fitted, curves, freqs)
     ok = (stock_phase <= np.deg2rad(25.0) and stock_amp <= 0.1
           and fit_phase <= stock_phase + 1e-12 and fit_amp <= stock_amp + 1e-12)

@@ -1,17 +1,23 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
+import csv
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import irsofdm
 from irsofdm.cli import main
-from irsofdm.config import ConfigError, load_config
+from irsofdm.config import _TOP, SCENARIOS, ConfigError, load_config
 from irsofdm.experiments import run_rate_vs_power
 
 TINY = """
@@ -85,6 +91,14 @@ class TestValidateConfig:
         "system: {ref_attenuation_db: -400, pathloss_exponent_ap_user: -66, d_ap_irs_m: 3.0e11}\n",
         # some drops would put the user within 1 m of the AP
         "system: {d_ap_irs_m: 2, d_irs_user_m: 2}\nn_drops: 20\n",
+        # finite mean gains of about 1e300 whose squared cascade gain overflows
+        "system: {ref_attenuation_db: -3000, n_elements: 2, n_subcarriers: 2}\n",
+        # a mean SNR of about 3e115, but a received power that overflows to inf W
+        "system: {ref_attenuation_db: -600, max_power_dbm: 2030, noise_dbm: 2030,"
+        " n_elements: 2, n_subcarriers: 2}\npower_sweep_dbm: [2030]\n",
+        # SNR and power far below the ceiling, but a mean received gain of 1.3e308
+        "system: {ref_attenuation_db: -1563, max_power_dbm: -2000, n_elements: 2,"
+        " n_subcarriers: 2}\npower_sweep_dbm: [-2000]\nelement_sweep: [2]\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -258,3 +272,74 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+# Config fuzz: a tiny valid config (1 drop, N <= 4, K <= 4, 2 sweep points) in
+# one of the scenarios, with one to three keys set to a finite extreme or a
+# documented bound (1 m distances, 1 to 8 codebook bits, the 2**26 size cap).
+# The keys come from the loader tables, so a key added later is drawn too.
+# Size keys take only values that keep the run tiny or that the loader rejects.
+EXTREMES = [0, 1e-300, -1e-300, 1e300, -1e300]
+BOUNDS = [1, -1, 8, 9, 2 ** 26]
+SIZES = {"n_drops": [1], "n_elements": [1, 4], "n_subcarriers": [1, 4], "n_taps": [1, 4],
+        "n_points": [1, 4], "element_sweep": [4]}
+LISTS = {"power_sweep_dbm", "element_sweep", "target_phases_deg"}
+BASE = {"n_drops": 1, "power_sweep_dbm": [0, 30], "element_sweep": [0, 4],
+        "system": {"n_elements": 4, "n_subcarriers": 4},
+        "validation": {"n_points": 4, "target_phases_deg": [0, 60]}}
+
+
+def _key_paths(table, prefix=()):
+    for key, (_, convert) in table.items():
+        if isinstance(convert, dict):
+            yield from _key_paths(convert, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@st.composite
+def config_dicts(draw):
+    raw = {**BASE, "scenario": draw(st.sampled_from(SCENARIOS)),
+           "system": dict(BASE["system"]), "validation": dict(BASE["validation"])}
+    paths = st.sampled_from(list(_key_paths(_TOP)))
+    for *sections, key in draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
+        extra = list(SCENARIOS) if key == "scenario" else SIZES.get(key, BOUNDS)
+        value = st.sampled_from(EXTREMES + extra)
+        if key in LISTS:
+            value = st.lists(value, max_size=2)
+        target = raw
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = draw(value)
+    return raw
+
+
+def _finite_numbers(path):
+    with open(path, newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            for field in row:
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a label such as the scheme or the stage
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example({"n_drops": 1, "system": {"ref_attenuation_db": -3000, "n_elements": 2,
+                                   "n_subcarriers": 2}})
+@given(config_dicts())
+def test_no_config_escapes_the_exit_codes(raw):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "cfg.yaml")
+        out = os.path.join(folder, "out.csv")
+        with open(path, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        checked = main(["validate-config", path])
+        ran = main(["run", path, "--out", out])
+        assert checked in (0, 2) and ran in (0, 2, 3)
+        assert (checked == 2) == (ran == 2)
+        if ran == 0:
+            assert _finite_numbers(out)

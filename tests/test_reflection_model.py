@@ -10,6 +10,7 @@ from irsofdm.optimizer import design_tables
 from irsofdm.reflection_model import (
     FitSample,
     ModelParams,
+    _fit_objective,
     codebook,
     fit_model,
     model_amplitude,
@@ -232,9 +233,18 @@ class TestFitModel:
         freqs = np.linspace(2.3e9, 2.5e9, 21)
         samples = _grid_samples(DEFAULTS, [-1.0, 0.5, 2.0], freqs)
         init = ModelParams(alpha1=0.25, beta2=10.0)
-        a, _ = fit_model(samples, init, seed=9)
-        b, _ = fit_model(samples, init, seed=9)
+        a, _ = fit_model(samples, init)
+        b, _ = fit_model(samples, init)
         assert a == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_models(), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4),
+           st.lists(positive_frequencies, min_size=1, max_size=8))
+    def test_objective_is_zero_at_the_generating_coefficients(self, params, centers, freqs):
+        # the fit scores the same model code that generated the samples
+        x, f = (a.ravel() for a in np.meshgrid(centers, freqs))
+        phase, amp = model_phase(params, x, f), model_amplitude(params, x, f)
+        assert _fit_objective(params.as_array(), x, f, phase, amp) == 0.0
 
     def test_report_curves_are_sorted_unique_centers(self):
         phases = [1.0, -1.0, 0.0]

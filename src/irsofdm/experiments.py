@@ -237,11 +237,10 @@ def run_convergence_trace(cfg):
 
 def write_csv_rows(fh, result):
     """Write a scenario result's header and rows to the open text file `fh`
-    as CSV with plain str() number formatting."""
+    as CSV; `csv` writes floats as repr(), the shortest exact form."""
     writer = csv.writer(fh)
     writer.writerow(result.header)
-    for row in result.rows():
-        writer.writerow([str(v) for v in row])
+    writer.writerows(result.rows())
 
 
 def write_result_csv(path, result):

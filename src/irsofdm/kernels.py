@@ -13,13 +13,22 @@ first builds the (N, S, K) table of every element's contribution under every
 codebook entry, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
 element update only adds rows of it; the config loader caps N * S * K.
 
-Elements are scored a block at a time: each element of a block of
-consecutive elements is scored against the same field in one array pass,
-and the first element whose best entry differs from its current one is
-applied; the next block starts after it.  An element that keeps its entry
-leaves the field untouched, so every score up to the first move is the one
-the one-element loop computes, bit for bit.  The block is at most 16
-elements, so its (block, S, K) temporaries never exceed the (N, S, K) table.
+Elements are scored up to 32 at a time, in one array pass per window, each
+against the field it sees if the guesses before it hold:
+- an element's guess is its best entry from the last pass that scored it; an
+  element not scored yet is guessed to keep its entry;
+- the fields come from one `np.add.accumulate` over [field, -row_cur,
+  +row_guess, ...], one pair per guessed mover.  Accumulation folds left to
+  right and F + (-x) is F - x bit for bit, so up to the first element whose
+  best entry differs from its guess, every score is the one the one-element
+  loop computes;
+- the window is accepted up to and including that element, and its true
+  entry is applied.  The best entries of the elements after it, scored
+  against a stale field, become their guesses, and the next window starts
+  after it.
+A window also ends at element N, so its (window, S, K) temporaries never
+exceed the (N, S, K) table.  `SweepResult` counts the passes and the element
+rows they scored.
 """
 
 from __future__ import annotations
@@ -28,10 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# elements scored per array pass: the first block, and the cap; a block also
-# ends at element N, so its (block, S, K) temporaries stay within the table
-_BLOCK_START = 8
-_BLOCK_CAP = 16
+# elements scored per array pass (see the module docstring)
+_WINDOW = 32
 
 
 class SweepResult(NamedTuple):
@@ -39,6 +46,8 @@ class SweepResult(NamedTuple):
     update_rates: np.ndarray  # objective after each single-element update
     sweep_rates: np.ndarray   # freshly recomputed objective after each sweep
     converged: bool           # a full sweep changed no index
+    passes: int               # windows scored, one array pass each
+    rows_scored: int          # element rows scored over all passes
 
 
 def combined_gains(h_d, v, phi):
@@ -73,9 +82,8 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     which makes the returned indices coordinate-wise optimal for this p.
 
     The result is that of visiting one element at a time, in ascending order;
-    the elements are scored in blocks of up to `_BLOCK_CAP` (see the module
-    docstring).  The block starts at `_BLOCK_START` elements, halves after a
-    block in which an element moved and doubles after one in which none did.
+    the elements are scored in windows of up to `_WINDOW` against guessed
+    fields (see the module docstring).
     """
     v = np.ascontiguousarray(v, dtype=np.complex128)
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
@@ -102,35 +110,51 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     update_rates = []
     sweep_rates = []
     converged = False
+    rows_scored = 0
     vphi = v[:, None, :] * phi_table  # (N, S, K): every element under every entry
     rows = vphi.reshape(n_el * n_cb, n_sc)  # row n * S + s is vphi[n, s]
     first = np.arange(n_el) * n_cb
+    guess = indices.copy()  # best entry when last scored; unscored: keep
     base = combined_gains(h_d, v, phi_table[indices])
-    block = _BLOCK_START
     for _ in range(int(max_sweeps)):
         changed = False
         i0 = 0
         while i0 < n_el:
-            i1 = min(i0 + block, n_el)
-            cur = indices[i0:i1]
-            # every element of the block scored against the same field
-            partial = base - rows[first[i0:i1] + cur]
+            i1 = min(i0 + _WINDOW, n_el)
+            cur, g = indices[i0:i1], guess[i0:i1]
+            at = first[i0:i1]
+            cur_rows = at + cur
+            guessed = g != cur
+            if guessed.any():
+                # the field before each element, if every guess before it holds
+                movers = np.flatnonzero(guessed)
+                terms = np.empty((1 + 2 * movers.size, n_sc), dtype=np.complex128)
+                terms[0] = base
+                np.negative(rows[cur_rows[movers]], out=terms[1::2])
+                terms[2::2] = rows[(at + g)[movers]]
+                fields = np.add.accumulate(terms, axis=0)
+                seen, after = fields[2 * (np.cumsum(guessed) - guessed)], fields[-1]
+            else:
+                seen = after = base  # no guessed mover: one field for the window
+            partial = seen - rows[cur_rows]
             cand = partial[:, None, :] + vphi[i0:i1]
             rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
             best = rates.argmax(axis=1)  # first max, lowest index on ties
-            moved = best != cur
-            m = int(moved.argmax())
-            if moved[m]:
-                # the first mover changes the field; the scores after it are stale
-                s_best = int(best[m])
-                indices[i0 + m] = s_best
-                base = partial[m] + vphi[i0 + m, s_best]
-                changed = True
-                block = max(block // 2, 1)
+            rows_scored += i1 - i0
+            wrong = best != g
+            m = int(wrong.argmax())
+            if not wrong[m]:
+                m, base = i1 - i0 - 1, after
+            elif best[m] != cur[m]:
+                base = partial[m] + vphi[i0 + m, best[m]]
             else:
-                m = i1 - i0 - 1
-                block = min(2 * block, _BLOCK_CAP)
-            update_rates.extend(rates[np.arange(m + 1), best[:m + 1]].tolist())
+                # a guessed mover that keeps its entry; `seen` has a row per element
+                base = seen[m]
+            kept = slice(0, m + 1)
+            changed = changed or bool((best[kept] != cur[kept]).any())
+            update_rates.append(rates[np.arange(m + 1), best[kept]])  # one entry per pass
+            guess[i0:i1] = best  # the entries after m are stale guesses
+            indices[i0:i0 + m + 1] = best[kept]
             i0 += m + 1
         # rebuild from scratch so incremental updates cannot drift
         base = combined_gains(h_d, v, phi_table[indices])
@@ -138,4 +162,7 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
         if not changed:
             converged = True
             break
-    return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), converged)
+    passes = len(update_rates)
+    update_rates = np.concatenate(update_rates) if update_rates else np.zeros(0)
+    return SweepResult(indices, update_rates, np.asarray(sweep_rates), converged,
+                       passes, rows_scored)

@@ -78,8 +78,8 @@ class OptimizationTrace:
 
     def rows(self):
         """Yield (stage, iteration, objective) rows in recording order."""
-        for i, (stage, obj) in enumerate(zip(self.stages, self.objectives)):
-            yield stage, i, float(obj)
+        for i, (stage, obj) in enumerate(zip(self.stages, self.objectives.tolist())):
+            yield stage, i, obj
 
 
 def water_filling(gains, noise_variance, total_power):

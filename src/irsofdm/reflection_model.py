@@ -86,7 +86,8 @@ def _curves(coef, center_phase, f=None):
     detune_ghz = np.asarray(f, dtype=float) / _GHZ - f1
     theta = -2.0 * np.arctan(f2 * detune_ghz)
     detune = detune_ghz / _WIDTH_GHZ
-    amplitude = np.clip(1.0 - (a4 * x + b3) / (detune * detune + 4.0), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a huge detuning gives A = 1 after the clamp
+        amplitude = np.clip(1.0 - (a4 * x + b3) / (detune * detune + 4.0), 0.0, 1.0)
     return f1, f2, theta, amplitude
 
 

@@ -20,6 +20,9 @@ from irsofdm.cli import main
 from irsofdm.config import _TOP, SCENARIOS, ConfigError, load_config
 from irsofdm.experiments import run_rate_vs_power
 
+# a numpy warning that reaches the run's stderr fails the test that caused it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TINY = """
 scenario: rate-vs-power
 seed: 3
@@ -29,6 +32,13 @@ system:
   n_elements: 4
   n_subcarriers: 4
 """
+
+
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(irsofdm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -230,6 +240,17 @@ class TestRun:
         assert "power_dbm = " in err
         assert "without converging" not in err
 
+    def test_extreme_model_coefficient_runs_without_warnings(self, tmp_path):
+        # alpha1 = 1e300 overflows the squared detuning; the clamped A is still 1
+        cfg = write(tmp_path, ("n_drops: 1\nsystem: {n_elements: 2, n_subcarriers: 2}\n"
+                               "model: {alpha1: 1.0e300}\n"))
+        out = subprocess.run([sys.executable, "-m", "irsofdm.cli", "run", cfg,
+                              "--out", str(tmp_path / "rates.csv")],
+                             env=source_env(), capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert "power_dbm = " in out.stderr
+
     def test_element_sweep_scenario(self, tmp_path):
         cfg = write(tmp_path, ("scenario: rate-vs-elements\n"
                                "n_drops: 2\n"
@@ -266,11 +287,9 @@ def test_every_scenario_prints_its_summary(tmp_path, capsys, scenario, extra, li
 
 def test_cli_import_leaves_scipy_optimize_out():
     # scipy.optimize takes most of a fresh start-up and only fit_model uses it
-    src = str(Path(irsofdm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, irsofdm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "False"
 
 

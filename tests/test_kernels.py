@@ -28,10 +28,11 @@ instances = st.builds(random_instance, st.integers(0, 2 ** 32 - 1), st.integers(
 
 @st.composite
 def tied_instances(draw):
-    """Instances up to 48 elements, with duplicated codebook rows and zero
-    cascade rows, so that many candidates tie exactly; plus a sweep cap."""
+    """Instances up to 80 elements (several scoring windows), with duplicated
+    codebook rows and zero cascade rows, so that many candidates tie exactly;
+    plus a sweep cap."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    n_el, n_cb = draw(st.integers(0, 48)), draw(st.sampled_from([2, 4, 8]))
+    n_el, n_cb = draw(st.integers(0, 80)), draw(st.sampled_from([2, 4, 8]))
     v, h_d, phi, p, sigma2, init = random_instance(seed, n_el, draw(st.integers(1, 16)), n_cb)
     rng = np.random.default_rng(seed + 1)
     if draw(st.booleans()):
@@ -64,8 +65,11 @@ def reference_sweeps(v, h_d, phi, p, sigma2, init, max_sweeps):
         base = combined_gains(h_d, v, phi[indices])
         sweep_rates.append(float(mean_rate(p, base.real ** 2 + base.imag ** 2, sigma2)))
         if not changed:
-            return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), True)
-    return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), False)
+            break
+    # one array pass per element visit
+    visits = len(update_rates)
+    return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), not changed,
+                       visits, visits)
 
 
 class TestCombinedGains:
@@ -110,13 +114,47 @@ class TestNumpyKernel:
     @settings(max_examples=100, deadline=None)
     @given(tied_instances())
     def test_bit_equal_to_one_element_loop(self, args):
-        # block scoring must reproduce the plain loop exactly, ties included
+        # guess-and-verify scoring must reproduce the plain loop exactly, ties included
         got = coordinate_descent_sweeps(*args[:-1], max_sweeps=args[-1])
         want = reference_sweeps(*args)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.update_rates, want.update_rates)
         assert np.array_equal(got.sweep_rates, want.sweep_rates)
         assert got.converged == want.converged
+
+    def test_stale_guesses_are_rescored(self):
+        # element 0 outweighs the other 39 together and is the only one off its
+        # fixed-point entry.  The first window scores elements 1..31 against the
+        # field before element 0 moves, where each wants to flip, so they are
+        # all guessed to move; after the move each keeps its entry instead.
+        n_el = 40
+        v = np.exp(0.3j) * np.linspace(0.9, 1.1, n_el)[:, None]
+        v[0] *= 100.0
+        phi = np.array([[1.0 + 0j], [-1.0 + 0j]])
+        init = np.ones(n_el, dtype=np.int64)
+        init[0] = 0
+        args = (v, np.zeros(1, dtype=complex), phi, np.ones(1), 1.0, init)
+        got = coordinate_descent_sweeps(*args)
+        want = reference_sweeps(*args, max_sweeps=20)
+        assert np.array_equal(got.indices, np.ones(n_el))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.update_rates, want.update_rates)
+        assert np.array_equal(got.sweep_rates, want.sweep_rates)
+        assert got.converged and want.converged
+        # sweep 1 scores windows 0..31 (element 0 moves), 1..32 (element 1's
+        # guess is wrong), 2..33 and 34..39; sweep 2 scores 0..31 and 32..39
+        assert (got.passes, got.rows_scored) == (6, 142)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tied_instances())
+    def test_work_counts_are_exact_and_repeat(self, args):
+        got = coordinate_descent_sweeps(*args[:-1], max_sweeps=args[-1])
+        again = coordinate_descent_sweeps(*args[:-1], max_sweeps=args[-1])
+        # every element visit is scored at least once, and one pass scores a row or more
+        assert got.rows_scored >= got.update_rates.size
+        assert got.passes <= got.rows_scored
+        assert (got.passes == 0) == (got.update_rates.size == 0)
+        assert (got.passes, got.rows_scored) == (again.passes, again.rows_scored)
 
     @settings(max_examples=100, deadline=None)
     @given(instances)

@@ -47,7 +47,7 @@ from .optimizer import (
     alternating_optimize,
     exhaustive_search,
 )
-from .config import ConfigError, ExperimentConfig, load_config, default_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (
     drop_channel,
     run_model_validation,

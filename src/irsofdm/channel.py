@@ -22,10 +22,6 @@ def dbm_to_watts(dbm):
     return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts):
-    return 10.0 * np.log10(np.asarray(watts, dtype=float)) + 30.0
-
-
 def path_loss_gain(distance, exponent, ref_attenuation_db=30.0):
     """Average power gain of a link: ref attenuation at 1 m plus log-distance
     decay, returned in linear scale."""
@@ -55,13 +51,6 @@ def ap_user_distance(d_ap_irs, d_irs_user, user_angle):
 
 
 @dataclasses.dataclass(frozen=True)
-class PathLossExponents:
-    ap_irs: float = 2.5
-    irs_user: float = 2.8
-    ap_user: float = 3.5
-
-
-@dataclasses.dataclass(frozen=True)
 class SystemConfig:
     """Scenario constants shared by channel generation and optimization."""
 
@@ -74,7 +63,9 @@ class SystemConfig:
     d_ap_irs: float = 50.0            # m
     d_irs_user: float = 2.0           # m
     ref_attenuation_db: float = 30.0  # at 1 m
-    exponents: PathLossExponents = dataclasses.field(default_factory=PathLossExponents)
+    exponent_ap_irs: float = 2.5      # path-loss exponents of the three links
+    exponent_irs_user: float = 2.8
+    exponent_ap_user: float = 3.5
     n_taps: int = 8
 
     def __post_init__(self):
@@ -102,10 +93,10 @@ class SystemConfig:
     def mean_link_gains(self):
         """Mean gains of the AP-surface, surface-user and, at its shortest and
         longest distance, AP-user links; 0 or inf beyond the float range."""
-        a, b, e = self.d_ap_irs, self.d_irs_user, self.exponents
+        a, b = self.d_ap_irs, self.d_irs_user
+        exponents = [self.exponent_ap_irs, self.exponent_irs_user] + [self.exponent_ap_user] * 2
         with np.errstate(all="ignore"):  # AP-user gain is monotone in distance: both ends bound it
-            return path_loss_gain([a, b, abs(a - b), a + b],
-                                  np.array([e.ap_irs, e.irs_user, e.ap_user, e.ap_user]),
+            return path_loss_gain([a, b, abs(a - b), a + b], np.array(exponents),
                                   self.ref_attenuation_db)
 
 
@@ -158,9 +149,9 @@ def generate_channels(config, user_angle, seed):
     delta_f = freqs - config.center_frequency
 
     d_au = ap_user_distance(config.d_ap_irs, config.d_irs_user, user_angle)
-    gain_au = path_loss_gain(d_au, config.exponents.ap_user, config.ref_attenuation_db)
-    gain_iu = path_loss_gain(config.d_irs_user, config.exponents.irs_user, config.ref_attenuation_db)
-    gain_ai = path_loss_gain(config.d_ap_irs, config.exponents.ap_irs, config.ref_attenuation_db)
+    gain_au = path_loss_gain(d_au, config.exponent_ap_user, config.ref_attenuation_db)
+    gain_iu = path_loss_gain(config.d_irs_user, config.exponent_irs_user, config.ref_attenuation_db)
+    gain_ai = path_loss_gain(config.d_ap_irs, config.exponent_ap_irs, config.ref_attenuation_db)
 
     h_direct = _taps_to_freq(_complex_taps(rng, (taps,), gain_au / taps), delta_f, config.bandwidth)
     h_irs_user = _taps_to_freq(_complex_taps(rng, (n, taps), gain_iu / taps), delta_f, config.bandwidth)

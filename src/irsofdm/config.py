@@ -31,8 +31,9 @@ SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergen
 # Largest working array a config may ask for, in values.  The largest per drop is
 # the coordinate-descent kernel's (N, 2**bits, K) complex candidate table (2**26
 # of them is 1 GiB); N * n_taps * K also bounds the channel draw's (N, n_taps)
-# and (n_taps, K) arrays.  The model-validation grid and the rate sweeps'
-# per-drop results (n_drops per sweep point and scheme) are capped on their own.
+# and (n_taps, K) arrays.  The model-validation curves (a grid per target phase)
+# and the rate sweeps' per-drop results (n_drops per sweep point and scheme) are
+# capped on their own.
 MAX_WORKING_VALUES = 2 ** 26
 
 # Ceiling on the mean received gain, power (W) and SNR, with every element in
@@ -54,10 +55,15 @@ class ValidationSettings:
     def __post_init__(self):
         if not 0.0 < self.f_min <= self.f_max:
             raise ValueError("need 0 < f_min <= f_max")
-        if not 1 <= self.n_points <= MAX_WORKING_VALUES:
-            raise ValueError(f"need 1 to {MAX_WORKING_VALUES} grid points")
-        if len(self.target_phases_deg) == 0:
+        if self.n_points < 1:
+            raise ValueError("need at least one grid point")
+        n_targets = len(self.target_phases_deg)
+        if n_targets == 0:
             raise ValueError("need at least one target phase")
+        size = n_targets * self.n_points  # values in each of a run's four curve arrays
+        if size > MAX_WORKING_VALUES:
+            raise ValueError(f"{n_targets} target phases x {self.n_points} grid points = {size} "
+                             f"values exceed the cap of {MAX_WORKING_VALUES}")
 
 
 def _desk_system():
@@ -120,10 +126,6 @@ class ExperimentConfig:
                              f"{snr:.3g} exceeds the ceiling of {MAX_MEAN_RECEIVED:g}")
 
 
-def default_config(scenario="rate-vs-power"):
-    return ExperimentConfig(scenario=scenario)
-
-
 def _number(value):
     """A finite float; float() also takes strings such as "100e6"."""
     try:
@@ -162,7 +164,7 @@ def _list_of(convert):
 
 
 # YAML key -> (dataclass field, converter).  A converter that is itself a table
-# reads a nested section; a dotted field sets a field of a nested dataclass.
+# reads a nested section.
 _SYSTEM = {
     "n_elements": ("n_elements", _integer), "n_subcarriers": ("n_subcarriers", _integer),
     "bandwidth_hz": ("bandwidth", _number),
@@ -170,9 +172,9 @@ _SYSTEM = {
     "max_power_dbm": ("max_power", _watts), "noise_dbm": ("noise_variance", _watts),
     "d_ap_irs_m": ("d_ap_irs", _number), "d_irs_user_m": ("d_irs_user", _number),
     "ref_attenuation_db": ("ref_attenuation_db", _number),
-    "pathloss_exponent_ap_irs": ("exponents.ap_irs", _number),
-    "pathloss_exponent_irs_user": ("exponents.irs_user", _number),
-    "pathloss_exponent_ap_user": ("exponents.ap_user", _number),
+    "pathloss_exponent_ap_irs": ("exponent_ap_irs", _number),
+    "pathloss_exponent_irs_user": ("exponent_irs_user", _number),
+    "pathloss_exponent_ap_user": ("exponent_ap_user", _number),
     "n_taps": ("n_taps", _integer),
 }
 _CIRCUIT = {"l1_h": ("l1", _number), "l2_h": ("l2", _number), "r_ohm": ("r", _number),
@@ -217,10 +219,7 @@ def _apply(base, mapping, table, where="configuration root"):
                 value = convert(value)
             except ValueError as exc:
                 raise ConfigError(f"key {key!r} in {where} {exc}") from exc
-        head, _, rest = field.partition(".")
-        if rest:
-            value = dataclasses.replace(changes.get(head, getattr(base, head)), **{rest: value})
-        changes[head] = value
+        changes[field] = value
     try:
         return dataclasses.replace(base, **changes)
     except (ValueError, TypeError) as exc:

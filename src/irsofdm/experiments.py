@@ -16,7 +16,7 @@ import numpy as np
 from .channel import dbm_to_watts, generate_channels, subcarrier_frequencies, take_elements
 from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
 from .kernels import combined_gains, mean_rate
-from .optimizer import alternating_optimize, design_tables, water_filling
+from .optimizer import OptimizerSettings, alternating_optimize, design_tables, water_filling
 from .reflection_model import codebook, model_amplitude, model_phase
 
 SCHEMES = ("practical", "ideal", "no_irs")
@@ -39,8 +39,8 @@ def _water_filled_rate(g, system):
 
 def simulate_drop_rates(channel, cb, tables, system, settings):
     """Achievable rate of each scheme on one channel realization, and the
-    number of its two designs that stopped at `settings.max_outer` without
-    converging.
+    number of its two designs that stopped at `settings.max_outer` or
+    `settings.max_sweeps` without converging.
 
     `tables` are the run's (practical, ideal) `design_tables`.
     practical: joint alternating design on the practical table.
@@ -143,8 +143,8 @@ class RateSweepResult:
     seed: int
     n_drops: int
     per_drop: dict  # (sweep_value, scheme) -> (n_drops,) rates
-    nonconverged: int  # designs that stopped at max_outer without converging
-    max_outer: int
+    nonconverged: int  # designs that stopped at an iteration cap without converging
+    settings: OptimizerSettings  # the stopping rules of the designs
 
     header = ("sweep_var", "sweep_value", "scheme", "mean_rate_bps_hz",
               "std_rate", "n_drops", "seed")
@@ -167,7 +167,8 @@ class RateSweepResult:
             yield f"{self.sweep_var} = {value}: {parts} bit/s/Hz"
         if self.nonconverged:
             yield (f"warning: {self.nonconverged} designs stopped at max_outer = "
-                   f"{self.max_outer} without converging")
+                   f"{self.settings.max_outer} or max_sweeps = {self.settings.max_sweeps} "
+                   "without converging")
 
 
 def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
@@ -192,7 +193,7 @@ def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
             for s in SCHEMES:
                 per_drop[(v, s)][drop] = rates[s]
     return RateSweepResult(sweep_var, values, cfg.seed, cfg.n_drops, per_drop, nonconverged,
-                           cfg.optimizer.max_outer)
+                           cfg.optimizer)
 
 
 def run_rate_vs_power(cfg):
@@ -212,27 +213,11 @@ def run_rate_vs_elements(cfg):
     return _rate_sweep(cfg, "n_elements", values, [cfg.system] * len(values), values)
 
 
-@dataclasses.dataclass
-class TraceResult:
-    trace: object
-    final_rate: float
-
-    header = ("stage", "iteration", "objective")
-
-    def rows(self):
-        return self.trace.rows()
-
-    def summary(self):
-        yield (f"final rate {self.final_rate:.6f} bit/s/Hz after "
-               f"{self.trace.n_sweeps} sweeps (converged: {self.trace.converged})")
-
-
 def run_convergence_trace(cfg):
     """Objective trace of one alternating optimization on drop 0."""
     cb, (practical, _) = _design_inputs(cfg)
     channel = drop_channel(cfg.system, cfg.seed, 0)
-    _, _, rate, trace = alternating_optimize(channel, cb, practical, cfg.system, cfg.optimizer)
-    return TraceResult(trace, rate)
+    return alternating_optimize(channel, cb, practical, cfg.system, cfg.optimizer)[3]
 
 
 def write_csv_rows(fh, result):

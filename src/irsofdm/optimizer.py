@@ -63,23 +63,28 @@ class PowerAllocation:
             raise ValueError("powers must be finite and nonnegative")
         object.__setattr__(self, "p", p)
 
-    def total(self):
-        return float(self.p.sum())
-
 
 @dataclasses.dataclass
 class OptimizationTrace:
-    """Objective values recorded at every update, tagged by stage."""
+    """Objective values recorded at every update, tagged by stage; the last
+    one is the design's rate.  A design has not converged if it stopped at
+    `max_outer`, or if its last coordinate descent stopped at `max_sweeps`."""
 
     stages: list
     objectives: np.ndarray
     n_sweeps: int
     converged: bool
 
+    header = ("stage", "iteration", "objective")
+
     def rows(self):
         """Yield (stage, iteration, objective) rows in recording order."""
         for i, (stage, obj) in enumerate(zip(self.stages, self.objectives.tolist())):
             yield stage, i, obj
+
+    def summary(self):
+        yield (f"final rate {self.objectives[-1]:.6f} bit/s/Hz after "
+               f"{self.n_sweeps} sweeps (converged: {self.converged})")
 
 
 def water_filling(gains, noise_variance, total_power):
@@ -183,7 +188,7 @@ def _alternate(channel, cb, table, config, settings):
         objectives.append(r_now)
         if r_now - r_prev < settings.eps_rate:
             r_prev = r_now
-            converged = True
+            converged = res.converged
             break
         r_prev = r_now
     trace = OptimizationTrace(stages, np.asarray(objectives), sweeps_total, converged)

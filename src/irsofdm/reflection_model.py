@@ -72,33 +72,21 @@ def _validity_margin(coef):
     return min(b3 - a4 * np.pi, b3 + a4 * np.pi)
 
 
-def _curves(coef, center_phase, f=None):
+def _curves(coef, center_phase, f):
     """(F1, F2, theta, A) of the coefficient vector `coef` at the target
-    phases `center_phase`; theta and A at frequencies `f` in Hz, else None."""
+    phases `center_phase`; theta and A at frequencies `f` in Hz."""
     x = np.asarray(center_phase, dtype=float)
     if np.any(np.abs(x) > np.pi):
         raise ValueError("center phase must lie in [-pi, pi]")
     a1, a2, a3, a4, b1, b2, b3 = coef
     f1 = a1 * np.tan(x / 3.0) + a2 * np.sin(x) + b1
     f2 = a3 * x + b2
-    if f is None:
-        return f1, f2, None, None
     detune_ghz = np.asarray(f, dtype=float) / _GHZ - f1
     theta = -2.0 * np.arctan(f2 * detune_ghz)
     detune = detune_ghz / _WIDTH_GHZ
     with np.errstate(over="ignore"):  # a huge detuning gives A = 1 after the clamp
         amplitude = np.clip(1.0 - (a4 * x + b3) / (detune * detune + 4.0), 0.0, 1.0)
     return f1, f2, theta, amplitude
-
-
-def resonance_ghz(params, center_phase):
-    """Resonance location F1 in GHz as a function of the target phase."""
-    return _curves(params.as_array(), center_phase)[0]
-
-
-def phase_slope(params, center_phase):
-    """Phase steepness F2 around the resonance."""
-    return _curves(params.as_array(), center_phase)[1]
 
 
 def model_phase(params, center_phase, f):
@@ -121,7 +109,6 @@ def model_reflection(params, center_phase, f):
 class PhaseCodebook:
     """Uniform discrete phase set {2*pi*b / 2^bits - pi}."""
 
-    bits: int
     values: np.ndarray  # ascending, inside [-pi, pi)
 
     @property
@@ -134,7 +121,7 @@ def codebook(bits):
         raise ValueError("codebook bits must be between 1 and 8")
     bits = int(bits)
     vals = 2.0 * np.pi * np.arange(2 ** bits) / (2 ** bits) - np.pi
-    return PhaseCodebook(bits, vals)
+    return PhaseCodebook(vals)
 
 
 def reflection_table(params, cb, frequencies):

@@ -286,9 +286,9 @@ def test_cross_module_invariants(capsys, tmp_path):
                  np.mean(np.abs(ch.g_ap_irs) ** 2))
     expect = np.array([
         path_loss_gain(ap_user_distance(system.d_ap_irs, system.d_irs_user, angle),
-                       system.exponents.ap_user),
-        path_loss_gain(system.d_irs_user, system.exponents.irs_user),
-        path_loss_gain(system.d_ap_irs, system.exponents.ap_irs),
+                       system.exponent_ap_user),
+        path_loss_gain(system.d_irs_user, system.exponent_irs_user),
+        path_loss_gain(system.d_ap_irs, system.exponent_ap_irs),
     ])
     power_dev = float(np.max(np.abs(sums / n_drops / expect - 1.0)))
     power_ok = power_dev <= 0.05

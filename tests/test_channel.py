@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from irsofdm.channel import (
-    PathLossExponents,
     SystemConfig,
     ap_user_distance,
     dbm_to_watts,
@@ -14,14 +13,13 @@ from irsofdm.channel import (
     path_loss_gain,
     subcarrier_frequencies,
     take_elements,
-    watts_to_dbm,
 )
 
 
 class TestUnits:
     def test_dbm_round_trip(self):
         assert dbm_to_watts(30.0) == 1.0
-        np.testing.assert_allclose(watts_to_dbm(dbm_to_watts(-17.3)), -17.3, atol=1e-12)
+        np.testing.assert_allclose(10.0 * np.log10(dbm_to_watts(-17.3)) + 30.0, -17.3, atol=1e-12)
 
     def test_default_noise_floor_matches_minus_104_dbm(self):
         assert SystemConfig().noise_variance == dbm_to_watts(-104.0)
@@ -133,9 +131,9 @@ class TestGenerateChannels:
             acc_iu += np.mean(np.abs(ch.h_irs_user) ** 2, axis=0)
             acc_ai += np.mean(np.abs(ch.g_ap_irs) ** 2, axis=0)
         d_au = ap_user_distance(SMALL.d_ap_irs, SMALL.d_irs_user, angle)
-        g_au = path_loss_gain(d_au, SMALL.exponents.ap_user)
-        g_iu = path_loss_gain(SMALL.d_irs_user, SMALL.exponents.irs_user)
-        g_ai = path_loss_gain(SMALL.d_ap_irs, SMALL.exponents.ap_irs)
+        g_au = path_loss_gain(d_au, SMALL.exponent_ap_user)
+        g_iu = path_loss_gain(SMALL.d_irs_user, SMALL.exponent_irs_user)
+        g_ai = path_loss_gain(SMALL.d_ap_irs, SMALL.exponent_ap_irs)
         np.testing.assert_allclose(acc_d / n_seeds, g_au, rtol=0.05)
         np.testing.assert_allclose(acc_iu / n_seeds, g_iu, rtol=0.05)
         np.testing.assert_allclose(acc_ai / n_seeds, g_ai, rtol=0.05)
@@ -185,9 +183,8 @@ class TestSystemConfigValidation:
         # the AP-user gain underflows to 0 at the far extreme
         dict(d_ap_irs=1e200),
         # ... or overflows to inf at the near one
-        dict(ref_attenuation_db=-400.0, d_ap_irs=3e11,
-             exponents=PathLossExponents(ap_user=-66.0)),
-        dict(exponents=PathLossExponents(ap_irs=-1e300)),
+        dict(ref_attenuation_db=-400.0, d_ap_irs=3e11, exponent_ap_user=-66.0),
+        dict(exponent_ap_irs=-1e300),
     ])
     def test_rejects_geometry_outside_the_link_model(self, kw):
         with pytest.raises(ValueError):

@@ -88,6 +88,8 @@ class TestValidateConfig:
         "system: {n_elements: 2048, n_subcarriers: 4096, n_taps: 9}\n",
         "system: {n_elements: 0, n_subcarriers: 1000000000000}\nelement_sweep: [0]\n",
         "validation: {n_points: 67108865}\n",
+        # 2 targets x 2**26 grid points: four curves of 2**27 values each
+        "validation: {n_points: 67108864, target_phases_deg: [0, 60]}\n",
         # 1e12 drops x 1 power x 3 schemes of per-drop rates, 7.28 TiB
         "n_drops: 1000000000000\npower_sweep_dbm: [0]\n"
         "system: {n_elements: 2, n_subcarriers: 2}\n",
@@ -224,12 +226,16 @@ class TestRun:
         assert "max phase error" in capsys.readouterr().err
 
     def test_nonconverged_designs_are_reported(self, tmp_path, capsys):
-        path = write(tmp_path, TINY + "optimizer: {max_outer: 1}\n")
-        stalled = run_rate_vs_power(load_config(path)).nonconverged
-        assert stalled > 0
-        assert main(["run", path, "--out", str(tmp_path / "rates.csv")]) == 0
-        assert (f"warning: {stalled} designs stopped at max_outer = 1 without converging"
-                in capsys.readouterr().err)
+        # a design also stalls when its last coordinate descent stops at max_sweeps;
+        # two desk drops have such designs where the tiny config has none
+        for text, caps in [(TINY + "optimizer: {max_outer: 1}\n", (1, 20)),
+                           ("n_drops: 2\noptimizer: {max_sweeps: 1}\n", (30, 1))]:
+            path = write(tmp_path, text)
+            stalled = run_rate_vs_power(load_config(path)).nonconverged
+            assert stalled > 0
+            assert main(["run", path, "--out", str(tmp_path / "rates.csv")]) == 0
+            assert ("warning: {} designs stopped at max_outer = {} or max_sweeps = {} "
+                    "without converging".format(stalled, *caps) in capsys.readouterr().err)
 
     def test_default_run_reports_no_nonconvergence(self, tmp_path, capsys):
         # the default config: rate-vs-power, N = 32, K = 16, 9 powers

@@ -1,5 +1,7 @@
 """YAML configuration loading and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from irsofdm.config import (
     OptimizerSettings,
     ValidationSettings,
     config_from_dict,
-    default_config,
     load_config,
 )
 
@@ -31,10 +32,6 @@ class TestDefaults:
         assert cfg.optimizer == OptimizerSettings()
         assert cfg.validation == ValidationSettings()
 
-    def test_default_config_helper(self):
-        cfg = default_config("convergence-trace")
-        assert cfg.scenario == "convergence-trace"
-
 
 class TestUnitKeys:
     def test_dbm_keys_convert_to_watts(self, tmp_path):
@@ -51,8 +48,8 @@ class TestUnitKeys:
             "  n_taps: 4\n")))
         assert cfg.system.bandwidth == 200e6
         assert cfg.system.d_ap_irs == 40.0
-        assert cfg.system.exponents.ap_user == 3.2
-        assert cfg.system.exponents.ap_irs == 2.5  # untouched default
+        assert cfg.system.exponent_ap_user == 3.2
+        assert cfg.system.exponent_ap_irs == 2.5  # untouched default
         assert cfg.system.n_taps == 4
 
     def test_scientific_notation_strings_are_coerced(self, tmp_path):
@@ -136,11 +133,37 @@ class TestFromDict:
         # the configs one step beyond are in test_cli's rejected-at-load cases
         assert 2048 * 8 * 4096 == config.MAX_WORKING_VALUES
         cfg = config_from_dict({"system": {"n_elements": 2048, "n_subcarriers": 4096},
-                                "validation": {"n_points": config.MAX_WORKING_VALUES}})
+                                "validation": {"n_points": config.MAX_WORKING_VALUES,
+                                               "target_phases_deg": [0]}})
         assert cfg.system.n_elements == 2048
         # the most drops whose 9 powers x 3 schemes of rates stay within the cap
         assert 2485513 * 9 * 3 <= config.MAX_WORKING_VALUES < 2485514 * 9 * 3
         assert config_from_dict({"n_drops": 2485513}).n_drops == 2485513
+
+
+def _sections(table=config._TOP, cls=ExperimentConfig):
+    """(table, dataclass) of the loader's root table and of each section it reads."""
+    yield table, cls
+    for field, convert in table.values():
+        if isinstance(convert, dict):
+            yield from _sections(convert, type(getattr(cls(), field)))
+
+
+SECTIONS = list(_sections())
+
+
+class TestLoaderTables:
+    def test_every_config_dataclass_has_a_table(self):
+        assert [cls.__name__ for _, cls in SECTIONS] == [
+            "ExperimentConfig", "SystemConfig", "CircuitParams", "ModelParams",
+            "OptimizerSettings", "ValidationSettings"]
+
+    @pytest.mark.parametrize("table, cls", SECTIONS, ids=[cls.__name__ for _, cls in SECTIONS])
+    def test_table_maps_one_to_one_onto_fields(self, table, cls):
+        # a key naming a missing field would only fail when set, and then as exit 2
+        fields = [field for field, _ in table.values()]
+        assert len(set(fields)) == len(fields)
+        assert set(fields) == {f.name for f in dataclasses.fields(cls)}
 
 
 def _numeric_keys(table=config._TOP, path=()):

@@ -72,7 +72,7 @@ class TestPowerAllocation:
             PowerAllocation(np.array([[1.0]]))
 
     def test_total(self):
-        assert PowerAllocation(np.array([0.25, 0.75])).total() == 1.0
+        assert PowerAllocation(np.array([0.25, 0.75])).p.sum() == 1.0
 
 
 class TestWaterFilling:
@@ -97,7 +97,7 @@ class TestWaterFilling:
             gains = 10.0 ** rng.uniform(-12.0, -6.0, k)
             total = 10.0 ** rng.uniform(-4.0, 1.0)
             alloc = water_filling(gains, 3.98e-14, total)
-            assert abs(alloc.total() - total) <= 1e-9 * total
+            assert abs(alloc.p.sum() - total) <= 1e-9 * total
 
     def test_kkt_conditions_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -267,7 +267,7 @@ class TestAlternatingOptimize:
         g = combined_gains(ch.h_direct, ch.cascade, table[indices])
         np.testing.assert_allclose(mean_rate(alloc.p, np.abs(g) ** 2, cfg.noise_variance),
                                    rate, rtol=1e-12)
-        assert abs(alloc.total() - cfg.max_power) <= 1e-9 * cfg.max_power
+        assert abs(alloc.p.sum() - cfg.max_power) <= 1e-9 * cfg.max_power
 
     def test_no_surface_reduces_to_direct_water_filling(self):
         ch, cfg = tiny_channel(0, 6, 26)

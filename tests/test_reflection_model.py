@@ -10,41 +10,50 @@ from irsofdm.optimizer import design_tables
 from irsofdm.reflection_model import (
     FitSample,
     ModelParams,
+    _curves,
     _fit_objective,
     codebook,
     fit_model,
     model_amplitude,
     model_phase,
     model_reflection,
-    phase_slope,
     reflection_table,
-    resonance_ghz,
 )
 
 DEFAULTS = ModelParams()
 TWO_THIRDS_PI = 2.0 * np.pi / 3.0
 
 
+def _f1(x):
+    """Resonance location F1 (GHz) of the default model at target phase x."""
+    return _curves(DEFAULTS.as_array(), x, 2.4e9)[0]
+
+
+def _f2(x):
+    """Phase slope F2 of the default model at target phase x."""
+    return _curves(DEFAULTS.as_array(), x, 2.4e9)[1]
+
+
 class TestCurveFamilies:
     def test_resonance_at_zero_phase_is_design_frequency(self):
-        assert resonance_ghz(DEFAULTS, 0.0) == 2.4
+        assert _f1(0.0) == 2.4
 
     def test_resonance_reference_points(self):
-        np.testing.assert_allclose(resonance_ghz(DEFAULTS, TWO_THIRDS_PI), 2.554830, atol=1e-6)
-        np.testing.assert_allclose(resonance_ghz(DEFAULTS, -np.pi), 2.053590, atol=1e-6)
+        np.testing.assert_allclose(_f1(TWO_THIRDS_PI), 2.554830, atol=1e-6)
+        np.testing.assert_allclose(_f1(-np.pi), 2.053590, atol=1e-6)
 
     def test_slope_reference_points(self):
-        assert phase_slope(DEFAULTS, 0.0) == 11.02
-        np.testing.assert_allclose(phase_slope(DEFAULTS, TWO_THIRDS_PI), 9.449204, atol=1e-6)
-        np.testing.assert_allclose(phase_slope(DEFAULTS, -np.pi), 13.376194, atol=1e-6)
+        assert _f2(0.0) == 11.02
+        np.testing.assert_allclose(_f2(TWO_THIRDS_PI), 9.449204, atol=1e-6)
+        np.testing.assert_allclose(_f2(-np.pi), 13.376194, atol=1e-6)
 
     def test_slope_positive_across_domain(self):
         x = np.linspace(-np.pi, np.pi, 101)
-        assert np.all(phase_slope(DEFAULTS, x) > 0.0)
+        assert np.all(_f2(x) > 0.0)
 
     def test_center_phase_domain_enforced(self):
         with pytest.raises(ValueError):
-            resonance_ghz(DEFAULTS, 3.5)
+            _f1(3.5)
         with pytest.raises(ValueError):
             model_phase(DEFAULTS, np.array([0.0, -3.2]), 2.4e9)
 
@@ -94,7 +103,7 @@ class TestModelAmplitude:
     def test_dip_sits_at_the_resonance(self):
         f = np.linspace(2.2e9, 2.6e9, 401)
         for x in codebook(3).values:
-            res = np.clip(resonance_ghz(DEFAULTS, x) * 1e9, f[0], f[-1])
+            res = np.clip(_f1(x) * 1e9, f[0], f[-1])
             i_dip = int(np.argmin(model_amplitude(DEFAULTS, x, f)))
             i_res = int(np.argmin(np.abs(f - res)))
             assert abs(i_dip - i_res) <= 1

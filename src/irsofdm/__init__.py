@@ -45,7 +45,6 @@ from .optimizer import (
     water_filling,
     design_tables,
     alternating_optimize,
-    exhaustive_search,
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (

@@ -23,10 +23,9 @@ from .experiments import (
     write_result_csv,
 )
 from .optimizer import PowerAllocationError
-from .reflection_model import FitConstraintError
 
 _NUMERICAL_ERRORS = (SingularCircuitError, UnreachablePhaseError,
-                     PowerAllocationError, FitConstraintError, FloatingPointError)
+                     PowerAllocationError, FloatingPointError)
 
 
 def build_parser():
@@ -44,6 +43,7 @@ def build_parser():
 
     val_p = sub.add_parser("validate-config", help="check a config file and exit")
     val_p.add_argument("config", help="path to the YAML configuration")
+    val_p.set_defaults(scenario=None, seed=None, drops=None, out=None)
     return parser
 
 
@@ -64,7 +64,8 @@ def _emit(result, out):
         write_csv_rows(sys.stdout, result)
 
 
-def _cmd_run(args):
+def _load(args):
+    """The checked config and output path; `run` and `validate-config` both load here."""
     cfg = load_config(args.config)
     overrides = {"scenario": args.scenario, "seed": args.seed, "n_drops": args.drops}
     cfg = _apply(cfg, {k: v for k, v in overrides.items() if v is not None}, _TOP,
@@ -72,7 +73,10 @@ def _cmd_run(args):
     out = args.out or cfg.output_csv
     if out:
         _check_writable(out)
+    return cfg, out
 
+
+def _run(cfg, out):
     # looked up per call, so that a patched runner is the one that runs
     runners = {"model-validation": run_model_validation, "rate-vs-power": run_rate_vs_power,
                "rate-vs-elements": run_rate_vs_elements,
@@ -85,19 +89,15 @@ def _cmd_run(args):
     return 3 if getattr(result, "errors", None) else 0
 
 
-def _cmd_validate(args):
-    cfg = load_config(args.config)
-    print(f"ok: scenario {cfg.scenario}, seed {cfg.seed}, {cfg.n_drops} drops, "
-          f"N = {cfg.system.n_elements}, K = {cfg.system.n_subcarriers}")
-    return 0
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        cfg, out = _load(args)
         if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_validate(args)
+            return _run(cfg, out)
+        print(f"ok: scenario {cfg.scenario}, seed {cfg.seed}, {cfg.n_drops} drops, "
+              f"N = {cfg.system.n_elements}, K = {cfg.system.n_subcarriers}")
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

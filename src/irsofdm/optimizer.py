@@ -18,16 +18,11 @@ practical table.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
 from .kernels import combined_gains, coordinate_descent_sweeps, mean_rate
 from .reflection_model import reflection_table
-
-
-# exhaustive_search refuses instances with more codebook assignments than this
-_ENUMERATION_CAP = 1_000_000
 
 
 class PowerAllocationError(ValueError):
@@ -148,12 +143,6 @@ def design_tables(model, cb, frequencies):
     return practical, ideal
 
 
-def _check_table(shape, expected):
-    if shape != expected:
-        raise ValueError(f"reflection table has shape {shape}, expected {expected} "
-                         "(codebook entries, subcarriers)")
-
-
 def _alternate(channel, cb, table, config, settings):
     """The alternating loop of `alternating_optimize`, on a checked table.
 
@@ -170,7 +159,6 @@ def _alternate(channel, cb, table, config, settings):
     r_prev = objectives[0]
     sweeps_total = 0
     converged = False
-    alloc = PowerAllocation(p)
     for _ in range(settings.max_outer):
         res = coordinate_descent_sweeps(v, channel.h_direct, table, p, config.noise_variance,
                                         indices, max_sweeps=settings.max_sweeps)
@@ -205,40 +193,9 @@ def alternating_optimize(channel, cb, table, config, settings=OptimizerSettings(
     powers, rate, trace); the trace objectives are non-decreasing up to
     floating-point noise.
     """
-    _check_table(np.shape(table), (cb.size, channel.n_subcarriers))
+    shape, expected = np.shape(table), (cb.size, channel.n_subcarriers)
+    if shape != expected:
+        raise ValueError(f"reflection table has shape {shape}, expected {expected} "
+                         "(codebook entries, subcarriers)")
     return _alternate(channel, cb, table, config, settings)
 
-
-def exhaustive_search(channel, table, config):
-    """Global optimum by enumerating every codebook assignment.
-
-    `table` (S, K) holds the reflection of each of the S codebook entries.
-    Only sensible for tiny instances; refuses more than a million
-    assignments.  Each assignment is scored with its own water-filling, so
-    the result upper-bounds any alternating run on the same instance.
-    Returns (indices, powers, rate).
-    """
-    shape = np.shape(table)
-    _check_table(shape, shape[:1] + (channel.n_subcarriers,))
-    n, n_cb = channel.n_elements, shape[0]
-    size = n_cb ** n
-    if size > _ENUMERATION_CAP:
-        raise ValueError(f"{n_cb}^{n} = {size} assignments exceed the cap {_ENUMERATION_CAP}")
-    v = channel.cascade
-
-    best = None
-    for combo in itertools.product(range(n_cb), repeat=n):
-        idx = np.asarray(combo, dtype=np.int64)
-        g = combined_gains(channel.h_direct, v, table[idx])
-        gains = g.real ** 2 + g.imag ** 2
-        try:
-            alloc = water_filling(gains, config.noise_variance, config.max_power)
-        except PowerAllocationError:
-            continue
-        rate = float(mean_rate(alloc.p, gains, config.noise_variance))
-        if best is None or rate > best[0]:
-            best = (rate, idx, alloc)
-    if best is None:
-        raise PowerAllocationError("no assignment yields a positive gain")
-    rate, idx, alloc = best
-    return idx, alloc, rate

@@ -22,7 +22,6 @@ from irsofdm import (
     codebook,
     design_tables,
     drop_channel,
-    exhaustive_search,
     fit_model,
     generate_channels,
     model_amplitude,
@@ -39,6 +38,7 @@ from irsofdm import (
     write_result_csv,
 )
 from irsofdm.kernels import combined_gains, mean_rate
+from oracles import exhaustive_search
 
 CENTERS_DEG = (0.0, 60.0, -60.0, 120.0, -120.0)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides and exit codes."""
 
 import csv
+import json
 import math
 import os
 import re
@@ -63,6 +64,22 @@ class TestValidateConfig:
 
     def test_broken_yaml(self, tmp_path):
         assert main(["validate-config", write(tmp_path, "a: [unclosed\n")]) == 2
+
+    def test_unwritable_output_csv_rejected_by_both_commands(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", calls.append)
+        out = tmp_path / "missing" / "x.csv"
+        path = write(tmp_path, TINY + f"output_csv: {out}\n")
+        assert main(["validate-config", path]) == 2
+        assert main(["run", path, "--drops", "1"]) == 2
+        assert capsys.readouterr().err.count("configuration error: cannot write") == 2
+        assert calls == []
+
+    def test_out_flag_overrides_unwritable_output_csv(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        path = write(tmp_path, TINY + f"output_csv: {tmp_path / 'missing' / 'x.csv'}\n")
+        assert main(["run", path, "--drops", "1", "--out", str(out)]) == 0
+        assert out.read_text().startswith("sweep_var,")
 
     @pytest.mark.parametrize("text", [
         "codebook_bits: 9\n",
@@ -297,6 +314,27 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_scenario_runs_without_scipy(tmp_path):
+    # only fit_model needs scipy; no scenario fits
+    cfg = write(tmp_path, TINY + "element_sweep: [0, 2]\n"
+                "validation: {n_points: 3, target_phases_deg: [0, -60]}\n")
+    code = f"""
+import json, sys
+sys.modules["scipy"] = None
+from irsofdm.cli import main
+from irsofdm.config import SCENARIOS
+codes = {{s: main(["run", {cfg!r}, "--scenario", s, "--drops", "1",
+                   "--out", {str(tmp_path / "out.csv")!r}]) for s in SCENARIOS}}
+loaded = [m for m, mod in sys.modules.items() if m.partition(".")[0] == "scipy" and mod]
+print(json.dumps([codes, loaded]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                         text=True, check=True)
+    codes, loaded = json.loads(out.stdout)
+    assert codes == {s: 0 for s in SCENARIOS}
+    assert loaded == []
 
 
 # Config fuzz: a tiny valid config (1 drop, N <= 4, K <= 4, 2 sweep points) in

@@ -15,10 +15,10 @@ from irsofdm.optimizer import (
     alignment_init,
     alternating_optimize,
     design_tables,
-    exhaustive_search,
     water_filling,
 )
 from irsofdm.reflection_model import ModelParams, codebook, reflection_table
+from oracles import exhaustive_search
 
 MODEL = ModelParams()
 CB = codebook(3)

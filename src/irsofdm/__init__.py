@@ -20,12 +20,9 @@ from .circuit import (
 )
 from .reflection_model import (
     ModelParams,
-    FitSample,
     FitConstraintError,
     codebook,
-    model_phase,
-    model_amplitude,
-    model_reflection,
+    model_response,
     reflection_table,
     fit_model,
 )

@@ -17,7 +17,7 @@ from .channel import dbm_to_watts, generate_channels, subcarrier_frequencies, ta
 from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
 from .kernels import combined_gains, mean_rate
 from .optimizer import OptimizerSettings, alternating_optimize, design_tables, water_filling
-from .reflection_model import codebook, model_amplitude, model_phase
+from .reflection_model import codebook, model_response
 
 SCHEMES = ("practical", "ideal", "no_irs")
 
@@ -70,12 +70,11 @@ def _design_inputs(cfg):
 @dataclasses.dataclass
 class ValidationCurve:
     target_phase_deg: float
-    capacitance: float
     frequencies: np.ndarray
-    circuit_phase: np.ndarray
     circuit_amplitude: np.ndarray
-    model_phase: np.ndarray
+    circuit_phase: np.ndarray
     model_amplitude: np.ndarray
+    model_phase: np.ndarray
 
     @property
     def max_phase_error(self):
@@ -128,11 +127,8 @@ def run_model_validation(cfg):
         except UnreachablePhaseError as exc:
             errors.append((float(deg), str(exc)))
             continue
-        amplitude, phase = sweep_reflection(cfg.circuit, cap, grid)
-        curves.append(ValidationCurve(
-            float(deg), cap, grid, phase, amplitude,
-            np.asarray(model_phase(cfg.model, x, grid)),
-            np.asarray(model_amplitude(cfg.model, x, grid))))
+        curves.append(ValidationCurve(float(deg), grid, *sweep_reflection(cfg.circuit, cap, grid),
+                                      *model_response(cfg.model, x, grid)))
     return ModelValidationResult(curves, errors)
 
 

@@ -12,7 +12,8 @@ and the realized reflection across frequency f is
     theta(x, f) = -2 * arctan(F2(x) * (f / 1e9 - F1(x)))
     A(x, f)     = 1 - (a4 * x + b3) / (((f / 1e9 - F1(x)) / 0.05)^2 + 4)
 
-with A clamped to [0, 1].  The defaults reproduce a varactor-tuned element
+with A clamped to [0, 1]; `model_response` returns (A, theta), the shape of
+`circuit.sweep_reflection`.  The defaults reproduce a varactor-tuned element
 resonant near 2.4 GHz; `fit_model` refits the seven coefficients to sampled
 circuit curves with a derivative-free simplex search.
 """
@@ -89,20 +90,12 @@ def _curves(coef, center_phase, f):
     return f1, f2, theta, amplitude
 
 
-def model_phase(params, center_phase, f):
-    """Reflection phase theta(x, f) in radians, always inside (-pi, pi)."""
-    return _curves(params.as_array(), center_phase, f)[2]
-
-
-def model_amplitude(params, center_phase, f):
-    """Reflection amplitude A(x, f), clamped to [0, 1]."""
-    return _curves(params.as_array(), center_phase, f)[3]
-
-
-def model_reflection(params, center_phase, f):
-    """Complex reflection coefficient A(x, f) * exp(j * theta(x, f))."""
-    _, _, theta, amplitude = _curves(params.as_array(), center_phase, f)
-    return amplitude * np.exp(1j * theta)
+def model_response(params, center_phase, f):
+    """Reflection (amplitude, phase) of the model at target phases
+    `center_phase` and frequencies `f` in Hz, broadcast against each other:
+    A(x, f) clamped to [0, 1], theta(x, f) in radians inside (-pi, pi)."""
+    _, _, phase, amplitude = _curves(params.as_array(), center_phase, f)
+    return amplitude, phase
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -127,25 +120,8 @@ def codebook(bits):
 def reflection_table(params, cb, frequencies):
     """Model reflection for every codebook phase, shape (size, K) complex."""
     freqs = np.asarray(frequencies, dtype=float)
-    return model_reflection(params, cb.values[:, None], freqs[None, :])
-
-
-@dataclasses.dataclass(frozen=True)
-class FitSample:
-    """One observed (phase, amplitude) point of a circuit sweep."""
-
-    center_phase: float   # radians, the target phase of the swept capacitance
-    frequency: float      # Hz
-    observed_phase: float
-    observed_amplitude: float
-
-    def __post_init__(self):
-        if abs(self.center_phase) > np.pi or abs(self.observed_phase) > np.pi:
-            raise ValueError("phases must lie in [-pi, pi]")
-        if not 0.0 <= self.observed_amplitude <= 1.0 + 1e-12:
-            raise ValueError("amplitude must lie in [0, 1]")
-        if self.frequency <= 0.0:
-            raise ValueError("frequency must be positive")
+    amplitude, phase = model_response(params, cb.values[:, None], freqs[None, :])
+    return amplitude * np.exp(1j * phase)
 
 
 @dataclasses.dataclass
@@ -171,7 +147,7 @@ def _fit_objective(vec, x, f, obs_phase, obs_amp):
     return val
 
 
-def fit_model(samples, init=None):
+def fit_model(center_phase, frequency, phase, amplitude, init=None):
     """Refit the model coefficients to sampled circuit curves.
 
     Minimizes the sum of squared wrapped phase errors plus `_FIT_AMP_WEIGHT`
@@ -181,9 +157,12 @@ def fit_model(samples, init=None):
 
     Parameters
     ----------
-    samples : sequence of FitSample
-        Must contain at least 50 points spanning at least 3 distinct center
-        phases and 20 distinct frequencies.
+    center_phase, frequency, phase, amplitude : array_like
+        Target and observed phase (radians, in [-pi, pi]), frequency (Hz,
+        > 0) and observed amplitude (in [0, 1]), all finite and broadcast
+        against each other: a (T, F) sweep goes in as it is, with
+        `center_phase[:, None]`.  At least 50 samples over at least 3
+        distinct center phases and 20 distinct frequencies.
     init : ModelParams, optional
         Starting coefficients; defaults to ModelParams().
 
@@ -196,14 +175,18 @@ def fit_model(samples, init=None):
     """
     import scipy.optimize  # about 0.7 s to import, and only the fit needs it
 
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no fit samples given")
-    x = np.array([s.center_phase for s in samples])
-    f = np.array([s.frequency for s in samples])
-    obs_phase = np.array([s.observed_phase for s in samples])
-    obs_amp = np.array([s.observed_amplitude for s in samples])
-    if len(samples) < 50 or np.unique(x).size < 3 or np.unique(f).size < 20:
+    samples = np.stack(np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (center_phase, frequency, phase, amplitude))))
+    x, f, obs_phase, obs_amp = samples.reshape(4, -1)  # C order: target phase first
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("fit samples must be finite")
+    if np.any(np.abs(x) > np.pi) or np.any(np.abs(obs_phase) > np.pi):
+        raise ValueError("phases must lie in [-pi, pi]")
+    if np.any((obs_amp < 0.0) | (obs_amp > 1.0 + 1e-12)):
+        raise ValueError("amplitude must lie in [0, 1]")
+    if np.any(f <= 0.0):
+        raise ValueError("frequency must be positive")
+    if x.size < 50 or np.unique(x).size < 3 or np.unique(f).size < 20:
         raise ValueError("fit needs >= 50 samples over >= 3 center phases and >= 20 frequencies")
 
     if init is None:
@@ -236,8 +219,9 @@ def fit_model(samples, init=None):
     max_amp = np.empty(centers.size)
     for i, c in enumerate(centers):
         sel = x == c
-        max_phi[i] = np.max(np.abs(wrap_phase(model_phase(fitted, c, f[sel]) - obs_phase[sel])))
-        max_amp[i] = np.max(np.abs(model_amplitude(fitted, c, f[sel]) - obs_amp[sel]))
+        amp, theta = model_response(fitted, c, f[sel])
+        max_phi[i] = np.max(np.abs(wrap_phase(theta - obs_phase[sel])))
+        max_amp[i] = np.max(np.abs(amp - obs_amp[sel]))
     report = FitReport(centers, max_phi, max_amp, float(obj_init), float(best_obj),
                        no_improvement)
     return fitted, report

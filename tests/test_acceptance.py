@@ -14,7 +14,6 @@ import numpy as np
 from irsofdm import (
     CircuitParams,
     ExperimentConfig,
-    FitSample,
     ModelParams,
     SystemConfig,
     alternating_optimize,
@@ -24,8 +23,7 @@ from irsofdm import (
     drop_channel,
     fit_model,
     generate_channels,
-    model_amplitude,
-    model_phase,
+    model_response,
     path_loss_gain,
     reflection,
     run_rate_vs_elements,
@@ -63,8 +61,9 @@ def _model_errors(model, curves, freqs):
     phase_err = 0.0
     amp_err = 0.0
     for x, (ph, am) in curves.items():
-        phase_err = max(phase_err, np.max(np.abs(wrap_phase(model_phase(model, x, freqs) - ph))))
-        amp_err = max(amp_err, np.max(np.abs(model_amplitude(model, x, freqs) - am)))
+        amplitude, phase = model_response(model, x, freqs)
+        phase_err = max(phase_err, np.max(np.abs(wrap_phase(phase - ph))))
+        amp_err = max(amp_err, np.max(np.abs(amplitude - am)))
     return phase_err, amp_err
 
 
@@ -82,12 +81,9 @@ def test_analytic_model_tracks_circuit(capsys):
     freqs = np.linspace(2.3e9, 2.5e9, 201)
     curves = _circuit_curves(CircuitParams(), freqs)
     stock_phase, stock_amp = _model_errors(ModelParams(), curves, freqs)
-    samples = [
-        FitSample(x, float(f), float(ph), float(am))
-        for x, (phs, ams) in curves.items()
-        for f, ph, am in zip(freqs, phs, ams)
-    ]
-    fitted, _ = fit_model(samples)
+    centers = np.array(list(curves))
+    phase, amplitude = (np.array(c) for c in zip(*curves.values()))
+    fitted, _ = fit_model(centers[:, None], freqs[None, :], phase, amplitude)
     fit_phase, fit_amp = _model_errors(fitted, curves, freqs)
     ok = (stock_phase <= np.deg2rad(25.0) and stock_amp <= 0.1
           and fit_phase <= stock_phase + 1e-12 and fit_amp <= stock_amp + 1e-12)
@@ -101,21 +97,17 @@ def test_fit_recovers_generating_model(capsys):
     truth = ModelParams()
     centers = np.deg2rad([-90.0, 0.0, 90.0])
     freqs = np.linspace(2.3e9, 2.5e9, 21)
-    samples = [
-        FitSample(float(x), float(f), float(model_phase(truth, x, f)),
-                  float(model_amplitude(truth, x, f)))
-        for x in centers for f in freqs
-    ]
+    amplitude, phase = model_response(truth, centers[:, None], freqs[None, :])
     rng = np.random.default_rng(3)
     init = ModelParams.from_array(truth.as_array() * (1.0 + rng.uniform(-0.1, 0.1, 7)))
-    fitted, _ = fit_model(samples, init)
+    fitted, _ = fit_model(centers[:, None], freqs[None, :], phase, amplitude, init)
     dphi = 0.0
     damp = 0.0
     for x in centers:
-        dphi = max(dphi, np.max(np.abs(wrap_phase(
-            model_phase(fitted, x, freqs) - model_phase(truth, x, freqs)))))
-        damp = max(damp, np.max(np.abs(
-            model_amplitude(fitted, x, freqs) - model_amplitude(truth, x, freqs))))
+        fit_amp, fit_phase = model_response(fitted, x, freqs)
+        true_amp, true_phase = model_response(truth, x, freqs)
+        dphi = max(dphi, np.max(np.abs(wrap_phase(fit_phase - true_phase))))
+        damp = max(damp, np.max(np.abs(fit_amp - true_amp)))
     ok = dphi <= 1e-3 and damp <= 1e-3
     _line(capsys, 3, "refit reproduces generating curves", ok,
           "max %.2e rad / %.2e amp on the training grid" % (dphi, damp))
@@ -271,9 +263,9 @@ def test_cross_module_invariants(capsys, tmp_path):
     range_ok = True
     mono_ok = True
     for x in np.linspace(-np.pi, np.pi, 25):
-        amp = model_amplitude(model, x, grid)
+        amp, phase = model_response(model, x, grid)
         range_ok &= bool(np.all((amp >= 0.0) & (amp <= 1.0)))
-        mono_ok &= bool(np.all(np.diff(model_phase(model, x, grid)) < 0.0))
+        mono_ok &= bool(np.all(np.diff(phase) < 0.0))
 
     system = SystemConfig(n_elements=2, n_subcarriers=8)
     angle = 0.7

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from irsofdm.channel import SystemConfig, generate_channels
 from irsofdm.kernels import SweepResult, combined_gains, coordinate_descent_sweeps, mean_rate
-from irsofdm.reflection_model import ModelParams, codebook, model_reflection, reflection_table
+from irsofdm.reflection_model import ModelParams, codebook, model_response, reflection_table
 
 
 def random_instance(seed, n_el, n_sc, n_cb, scale=1e-6):
@@ -79,7 +79,8 @@ class TestCombinedGains:
 
     def test_single_element_unit_links(self):
         # zero direct link and unit cascade: the gain is the element's reflection
-        phi = model_reflection(ModelParams(), codebook(3).values[5], 2.4e9)
+        a, t = model_response(ModelParams(), codebook(3).values[5], 2.4e9)
+        phi = a * np.exp(1j * t)
         got = combined_gains(np.zeros(1, dtype=complex), np.ones((1, 1), dtype=complex),
                              np.full((1, 1), phi))
         assert got[0] == phi

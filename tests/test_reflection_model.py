@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from irsofdm.circuit import wrap_phase
 from irsofdm.optimizer import design_tables
 from irsofdm.reflection_model import (
-    FitSample,
     ModelParams,
     _curves,
     _fit_objective,
     codebook,
     fit_model,
-    model_amplitude,
-    model_phase,
-    model_reflection,
+    model_response,
     reflection_table,
 )
 
@@ -32,6 +29,13 @@ def _f1(x):
 def _f2(x):
     """Phase slope F2 of the default model at target phase x."""
     return _curves(DEFAULTS.as_array(), x, 2.4e9)[1]
+
+
+def _reflection(params, x, f):
+    """Complex reflection A * exp(j * theta) of the model, as `reflection_table`
+    forms it."""
+    a, t = model_response(params, x, f)
+    return a * np.exp(1j * t)
 
 
 class TestCurveFamilies:
@@ -55,33 +59,33 @@ class TestCurveFamilies:
         with pytest.raises(ValueError):
             _f1(3.5)
         with pytest.raises(ValueError):
-            model_phase(DEFAULTS, np.array([0.0, -3.2]), 2.4e9)
+            model_response(DEFAULTS, np.array([0.0, -3.2]), 2.4e9)
 
 
 class TestModelPhase:
     def test_zero_phase_at_design_frequency_is_exact(self):
-        assert model_phase(DEFAULTS, 0.0, 2.4e9) == 0.0
+        assert model_response(DEFAULTS, 0.0, 2.4e9)[1] == 0.0
 
     def test_reference_point_off_design(self):
-        np.testing.assert_allclose(model_phase(DEFAULTS, 0.0, 2.5e9), -1.667771, atol=1e-6)
+        np.testing.assert_allclose(model_response(DEFAULTS, 0.0, 2.5e9)[1], -1.667771, atol=1e-6)
 
     def test_reference_point_off_center_phase(self):
-        np.testing.assert_allclose(model_phase(DEFAULTS, TWO_THIRDS_PI, 2.4e9), 1.942434, atol=1e-6)
+        np.testing.assert_allclose(model_response(DEFAULTS, TWO_THIRDS_PI, 2.4e9)[1], 1.942434, atol=1e-6)
 
     def test_strictly_inside_open_interval(self):
         x = codebook(3).values
         f = np.linspace(2.2e9, 2.6e9, 101)
-        theta = model_phase(DEFAULTS, x[:, None], f[None, :])
+        _, theta = model_response(DEFAULTS, x[:, None], f[None, :])
         assert np.all(np.abs(theta) < np.pi)
 
     def test_decreasing_in_frequency(self):
         f = np.linspace(2.2e9, 2.6e9, 401)
         for x in codebook(3).values:
-            assert np.all(np.diff(model_phase(DEFAULTS, x, f)) < 0.0)
+            assert np.all(np.diff(model_response(DEFAULTS, x, f)[1]) < 0.0)
 
     def test_center_fidelity_over_codebook(self):
         # worst case sits at the -pi entry where the tan term saturates
-        devs = np.array([abs(float(wrap_phase(model_phase(DEFAULTS, x, 2.4e9) - x)))
+        devs = np.array([abs(float(wrap_phase(model_response(DEFAULTS, x, 2.4e9)[1] - x)))
                          for x in codebook(3).values])
         np.testing.assert_allclose(devs.max(), 0.4251, atol=2e-3)
         others = devs[codebook(3).values > -np.pi]
@@ -90,21 +94,21 @@ class TestModelPhase:
 
 class TestModelAmplitude:
     def test_reference_points(self):
-        assert model_amplitude(DEFAULTS, 0.0, 2.4e9) == 0.5875
-        np.testing.assert_allclose(model_amplitude(DEFAULTS, 0.0, 2.5e9), 0.793750, atol=1e-6)
-        np.testing.assert_allclose(model_amplitude(DEFAULTS, 0.0, 3.4e9), 0.995916, atol=1e-6)
+        assert model_response(DEFAULTS, 0.0, 2.4e9)[0] == 0.5875
+        np.testing.assert_allclose(model_response(DEFAULTS, 0.0, 2.5e9)[0], 0.793750, atol=1e-6)
+        np.testing.assert_allclose(model_response(DEFAULTS, 0.0, 3.4e9)[0], 0.995916, atol=1e-6)
 
     def test_bounded_in_unit_interval(self):
         x = codebook(3).values
         f = np.linspace(2.2e9, 2.6e9, 101)
-        a = model_amplitude(DEFAULTS, x[:, None], f[None, :])
+        a, _ = model_response(DEFAULTS, x[:, None], f[None, :])
         assert np.all((a >= 0.0) & (a <= 1.0))
 
     def test_dip_sits_at_the_resonance(self):
         f = np.linspace(2.2e9, 2.6e9, 401)
         for x in codebook(3).values:
             res = np.clip(_f1(x) * 1e9, f[0], f[-1])
-            i_dip = int(np.argmin(model_amplitude(DEFAULTS, x, f)))
+            i_dip = int(np.argmin(model_response(DEFAULTS, x, f)[0]))
             i_res = int(np.argmin(np.abs(f - res)))
             assert abs(i_dip - i_res) <= 1
 
@@ -116,18 +120,18 @@ class TestModelAmplitude:
 
     def test_degenerate_numerator_gives_unit_reflection(self):
         flat = ModelParams(alpha4=0.0, beta3=1e-9)
-        phi = model_reflection(flat, 0.3, 2.45e9)
+        phi = _reflection(flat, 0.3, 2.45e9)
         assert abs(abs(phi) - 1.0) <= 1e-9
 
 
 class TestModelReflection:
     def test_polar_composition(self):
-        phi = model_reflection(DEFAULTS, 0.0, 2.5e9)
+        phi = _reflection(DEFAULTS, 0.0, 2.5e9)
         np.testing.assert_allclose(abs(phi), 0.793750, atol=1e-6)
         np.testing.assert_allclose(np.angle(phi), -1.667771, atol=1e-6)
 
     def test_design_frequency_zero_phase_is_real(self):
-        assert model_reflection(DEFAULTS, 0.0, 2.4e9) == 0.5875 + 0.0j
+        assert _reflection(DEFAULTS, 0.0, 2.4e9) == 0.5875 + 0.0j
 
     def test_table_matches_scalar_calls_exactly(self):
         cb = codebook(3)
@@ -136,7 +140,7 @@ class TestModelReflection:
         assert table.shape == (8, 16)
         for s, x in enumerate(cb.values):
             for k, f in enumerate(freqs):
-                assert table[s, k] == model_reflection(DEFAULTS, float(x), float(f))
+                assert table[s, k] == _reflection(DEFAULTS, float(x), float(f))
 
 
 @st.composite
@@ -156,8 +160,8 @@ positive_frequencies = st.floats(0.0, 1e12, exclude_min=True)
 class TestPassivity:
     @settings(max_examples=100, deadline=None)
     @given(valid_models(), st.floats(-np.pi, np.pi), positive_frequencies)
-    def test_model_reflection_is_passive(self, params, x, f):
-        assert abs(model_reflection(params, x, f)) <= 1.0 + 1e-12
+    def test_model_response_is_passive(self, params, x, f):
+        assert abs(_reflection(params, x, f)) <= 1.0 + 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(valid_models(), st.integers(1, 8),
@@ -193,39 +197,55 @@ class TestCodebook:
 
 
 def _grid_samples(params, phases, freqs):
-    out = []
-    for x in phases:
-        ph = model_phase(params, x, freqs)
-        am = model_amplitude(params, x, freqs)
-        out += [FitSample(float(x), float(f), float(p), float(a))
-                for f, p, a in zip(freqs, ph, am)]
-    return out
+    """`fit_model` inputs (center phase, frequency, phase, amplitude) of the
+    model's curves at `phases` over `freqs`, in the (T, F) sweep form."""
+    x = np.asarray(phases, dtype=float)[:, None]
+    amplitude, phase = model_response(params, x, freqs[None, :])
+    return x, freqs[None, :], phase, amplitude
 
 
-class TestFitSamples:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FitSample(0.0, 2.4e9, 0.0, 1.2)
-        with pytest.raises(ValueError):
-            FitSample(4.0, 2.4e9, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            FitSample(0.0, -2.4e9, 0.0, 0.5)
+def _corrupted(column, value):
+    """The 63 valid samples of a 3 x 21 grid as four (3, 21) arrays, with one
+    entry of input `column` (0 center phase, 1 frequency, 2 phase,
+    3 amplitude) set to `value`."""
+    grid = _grid_samples(DEFAULTS, [-1.0, 0.0, 1.0], np.linspace(2.3e9, 2.5e9, 21))
+    samples = [np.array(a) for a in np.broadcast_arrays(*grid)]
+    samples[column][1, 4] = value
+    return samples
 
 
 class TestFitModel:
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            fit_model([])
+            fit_model([], [], [], [])
         few = _grid_samples(DEFAULTS, [0.0, 1.0], np.linspace(2.3e9, 2.5e9, 30))
         with pytest.raises(ValueError):
-            fit_model(few)  # only two center phases
+            fit_model(*few)  # only two center phases
+
+    def test_rejects_out_of_range_samples(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            fit_model(*_corrupted(3, 1.2))
+        with pytest.raises(ValueError, match="phases"):
+            fit_model(*_corrupted(0, 4.0))
+        with pytest.raises(ValueError, match="frequency"):
+            fit_model(*_corrupted(1, -2.4e9))
+
+    @pytest.mark.parametrize("column, value", [
+        (1, np.nan),  # abs(nan) > pi and nan <= 0 are both False
+        (2, np.nan),
+        (0, np.nan),  # a NaN curve would select no samples in the report
+        (1, np.inf),
+    ])
+    def test_rejects_non_finite_samples(self, column, value):
+        with pytest.raises(ValueError, match="finite"):
+            fit_model(*_corrupted(column, value))
 
     def test_recovers_coefficients_from_perturbed_init(self):
         freqs = np.linspace(2.3e9, 2.5e9, 21)
         samples = _grid_samples(DEFAULTS, np.deg2rad([-90.0, 0.0, 90.0]), freqs)
         rng = np.random.default_rng(2)
         init = ModelParams.from_array(DEFAULTS.as_array() * (1 + rng.uniform(-0.1, 0.1, 7)))
-        fitted, report = fit_model(samples, init)
+        fitted, report = fit_model(*samples, init)
         assert report.objective_final <= report.objective_init
         assert np.all(report.max_phase_error <= 1e-3)
         assert np.all(report.max_amplitude_error <= 1e-3)
@@ -233,7 +253,7 @@ class TestFitModel:
 
     def test_perfect_init_returns_unchanged_with_flag(self):
         samples = _grid_samples(DEFAULTS, [-1.5, 0.0, 1.5], np.linspace(2.3e9, 2.5e9, 25))
-        fitted, report = fit_model(samples, DEFAULTS)
+        fitted, report = fit_model(*samples, DEFAULTS)
         assert fitted == DEFAULTS
         assert report.no_improvement
         assert report.objective_final == report.objective_init
@@ -242,8 +262,8 @@ class TestFitModel:
         freqs = np.linspace(2.3e9, 2.5e9, 21)
         samples = _grid_samples(DEFAULTS, [-1.0, 0.5, 2.0], freqs)
         init = ModelParams(alpha1=0.25, beta2=10.0)
-        a, _ = fit_model(samples, init)
-        b, _ = fit_model(samples, init)
+        a, _ = fit_model(*samples, init)
+        b, _ = fit_model(*samples, init)
         assert a == b
 
     @settings(max_examples=100, deadline=None)
@@ -252,11 +272,22 @@ class TestFitModel:
     def test_objective_is_zero_at_the_generating_coefficients(self, params, centers, freqs):
         # the fit scores the same model code that generated the samples
         x, f = (a.ravel() for a in np.meshgrid(centers, freqs))
-        phase, amp = model_phase(params, x, f), model_amplitude(params, x, f)
+        amp, phase = model_response(params, x, f)
         assert _fit_objective(params.as_array(), x, f, phase, amp) == 0.0
 
     def test_report_curves_are_sorted_unique_centers(self):
         phases = [1.0, -1.0, 0.0]
         samples = _grid_samples(DEFAULTS, phases, np.linspace(2.3e9, 2.5e9, 20))
-        _, report = fit_model(samples, DEFAULTS)
+        _, report = fit_model(*samples, DEFAULTS)
         np.testing.assert_allclose(report.center_phases, sorted(phases))
+
+    def test_sweep_form_fits_as_the_flat_samples(self):
+        # a (T, F) sweep and its C-order ravel are the same 63 samples
+        centers = np.array([-1.0, 0.5, 2.0])
+        freqs = np.linspace(2.3e9, 2.5e9, 21)
+        amplitude, phase = model_response(DEFAULTS, centers[:, None], freqs[None, :])
+        init = ModelParams(alpha1=0.25, beta2=10.0)
+        swept, _ = fit_model(centers[:, None], freqs[None, :], phase, amplitude, init)
+        x, f = (a.ravel() for a in np.meshgrid(centers, freqs, indexing="ij"))
+        flat, _ = fit_model(x, f, phase.ravel(), amplitude.ravel(), init)
+        assert swept.as_array().tobytes() == flat.as_array().tobytes()

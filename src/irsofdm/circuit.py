@@ -102,11 +102,9 @@ def reflection(params, c, f):
 
 
 def sweep_reflection(params, c, f_grid):
-    """Reflection amplitude/phase of a fixed capacitance over a frequency grid.
-
-    Returns (amplitude, phase) arrays in grid order, the phase wrapped to
-    [-pi, pi) radians.
-    """
+    """Reflection (amplitude, phase) of capacitances `c` over the frequency
+    grid `f_grid`, broadcast against each other, so `c[:, None]` gives one
+    row per capacitance; the phase is wrapped to [-pi, pi) radians."""
     phi = np.atleast_1d(reflection(params, c, np.asarray(f_grid, dtype=float)))
     return np.abs(phi), wrap_phase(np.angle(phi))
 

@@ -50,18 +50,23 @@ def build_parser():
 def _check_writable(out):
     """Fail before simulating if `out` cannot be written; creates and truncates nothing."""
     folder = os.path.dirname(os.path.abspath(out))
-    if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+    # an existing file is truncated in place, so its own mode decides; a new one needs the folder's
+    target = out if os.path.exists(out) else folder
+    if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
         raise ConfigError(f"cannot write {out}: not a file in an existing writable directory")
 
 
 def _emit(result, out):
-    if out:
-        try:
+    try:
+        if out:
             write_result_csv(out, result)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
-    else:
-        write_csv_rows(sys.stdout, result)
+        else:  # flushed inside the try: a reader that closed the pipe is an unwritable output
+            write_csv_rows(sys.stdout, result)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:  # the unwritten bytes stay buffered: let the exit flush reach devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {out or 'standard output'}: {exc}") from exc
 
 
 def _load(args):

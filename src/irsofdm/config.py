@@ -31,9 +31,9 @@ SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergen
 # Largest working array a config may ask for, in values.  The largest per drop is
 # the coordinate-descent kernel's (N, 2**bits, K) complex candidate table (2**26
 # of them is 1 GiB); N * n_taps * K also bounds the channel draw's (N, n_taps)
-# and (n_taps, K) arrays.  The model-validation curves (a grid per target phase)
-# and the rate sweeps' per-drop results (n_drops per sweep point and scheme) are
-# capped on their own.
+# and (n_taps, K) arrays.  The rate sweeps' per-drop results (n_drops per sweep
+# point and scheme) are capped on their own, as is model validation's targets x
+# grid points, which sizes its four curves and its complex (T, F) sweep temporaries.
 MAX_WORKING_VALUES = 2 ** 26
 
 # Ceiling on the mean received gain, power (W) and SNR, with every element in
@@ -60,7 +60,7 @@ class ValidationSettings:
         n_targets = len(self.target_phases_deg)
         if n_targets == 0:
             raise ValueError("need at least one target phase")
-        size = n_targets * self.n_points  # values in each of a run's four curve arrays
+        size = n_targets * self.n_points  # values in each curve and sweep temporary
         if size > MAX_WORKING_VALUES:
             raise ValueError(f"{n_targets} target phases x {self.n_points} grid points = {size} "
                              f"values exceed the cap of {MAX_WORKING_VALUES}")

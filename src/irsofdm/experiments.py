@@ -17,7 +17,7 @@ from .channel import dbm_to_watts, generate_channels, subcarrier_frequencies, ta
 from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
 from .kernels import combined_gains, mean_rate
 from .optimizer import OptimizerSettings, alternating_optimize, design_tables, water_filling
-from .reflection_model import codebook, model_response
+from .reflection_model import codebook, curve_errors, model_response
 
 SCHEMES = ("practical", "ideal", "no_irs")
 
@@ -68,68 +68,58 @@ def _design_inputs(cfg):
 
 
 @dataclasses.dataclass
-class ValidationCurve:
-    target_phase_deg: float
-    frequencies: np.ndarray
-    circuit_amplitude: np.ndarray
+class ModelValidationResult:
+    target_phase_deg: np.ndarray   # (T,) reachable targets, in config order
+    frequencies: np.ndarray        # (F,)
+    circuit_amplitude: np.ndarray  # (T, F), as are the three curves below
     circuit_phase: np.ndarray
     model_amplitude: np.ndarray
     model_phase: np.ndarray
-
-    @property
-    def max_phase_error(self):
-        return float(np.max(np.abs(wrap_phase(self.model_phase - self.circuit_phase))))
-
-    @property
-    def max_amplitude_error(self):
-        return float(np.max(np.abs(self.model_amplitude - self.circuit_amplitude)))
-
-
-@dataclasses.dataclass
-class ModelValidationResult:
-    curves: list
     errors: list  # (target_phase_deg, message) for unreachable targets
 
     header = ("target_phase_deg", "freq_hz", "circuit_phase_rad", "circuit_amp",
               "model_phase_rad", "model_amp")
 
     def rows(self):
-        for c in self.curves:
-            for i in range(c.frequencies.size):
-                yield (c.target_phase_deg, float(c.frequencies[i]),
-                       float(c.circuit_phase[i]), float(c.circuit_amplitude[i]),
-                       float(c.model_phase[i]), float(c.model_amplitude[i]))
+        for t, deg in enumerate(self.target_phase_deg.tolist()):
+            for i in range(self.frequencies.size):
+                yield (deg, float(self.frequencies[i]),
+                       float(self.circuit_phase[t, i]), float(self.circuit_amplitude[t, i]),
+                       float(self.model_phase[t, i]), float(self.model_amplitude[t, i]))
 
     def summary(self):
         """Lines for stderr: each curve's errors, then each unreachable target."""
-        for c in self.curves:
-            yield (f"target {c.target_phase_deg:+.1f} deg: "
-                   f"max phase error {c.max_phase_error:.4f} rad, "
-                   f"max amplitude error {c.max_amplitude_error:.4f}")
+        amp_error, phase_error = curve_errors(self.model_amplitude, self.model_phase,
+                                              self.circuit_amplitude, self.circuit_phase)
+        for deg, phi, amp in zip(self.target_phase_deg.tolist(), phase_error, amp_error):
+            yield (f"target {deg:+.1f} deg: max phase error {phi:.4f} rad, "
+                   f"max amplitude error {amp:.4f}")
         for deg, message in self.errors:
             yield f"target {deg:+.1f} deg failed: {message}"
 
 
 def run_model_validation(cfg):
-    """Sweep circuit and model responses for each target phase.
+    """Circuit and model responses on the (targets x frequencies) grid: each
+    target phase's capacitance is solved alone, then each side is swept once.
 
     Target phases that no capacitance can realize are reported in the result
     instead of aborting the sweep.
     """
     val = cfg.validation
     grid = np.linspace(val.f_min, val.f_max, val.n_points)
-    f_c = cfg.system.center_frequency
-    curves, errors = [], []
-    for deg in val.target_phases_deg:
-        x = float(wrap_phase(np.deg2rad(deg)))
+    deg = np.asarray(val.target_phases_deg, dtype=float)
+    x = wrap_phase(np.deg2rad(deg))
+    caps = np.full(deg.size, np.nan)  # stays NaN where no capacitance reaches the target
+    errors = []
+    for t in range(deg.size):
         try:
-            cap, _ = solve_capacitance(cfg.circuit, x, f_c)
+            caps[t], _ = solve_capacitance(cfg.circuit, x[t], cfg.system.center_frequency)
         except UnreachablePhaseError as exc:
-            errors.append((float(deg), str(exc)))
-            continue
-        curves.append(ValidationCurve(float(deg), grid, *sweep_reflection(cfg.circuit, cap, grid),
-                                      *model_response(cfg.model, x, grid)))
-    return ModelValidationResult(curves, errors)
+            errors.append((float(deg[t]), str(exc)))
+    ok = ~np.isnan(caps)
+    circuit = sweep_reflection(cfg.circuit, caps[ok, None], grid)
+    return ModelValidationResult(deg[ok], grid, *circuit,
+                                 *model_response(cfg.model, x[ok, None], grid), errors)
 
 
 @dataclasses.dataclass

@@ -50,14 +50,6 @@ class PowerAllocation:
 
     p: np.ndarray
 
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("powers must be a 1-D array")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise ValueError("powers must be finite and nonnegative")
-        object.__setattr__(self, "p", p)
-
 
 @dataclasses.dataclass
 class OptimizationTrace:

@@ -98,6 +98,13 @@ def model_response(params, center_phase, f):
     return amplitude, phase
 
 
+def curve_errors(amplitude, phase, ref_amplitude, ref_phase):
+    """(max amplitude error, max wrapped phase error) of curves against the
+    reference curves, reduced over the last axis: one pair per curve."""
+    return (np.max(np.abs(amplitude - ref_amplitude), axis=-1),
+            np.max(np.abs(wrap_phase(phase - ref_phase)), axis=-1))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PhaseCodebook:
     """Uniform discrete phase set {2*pi*b / 2^bits - pi}."""
@@ -215,13 +222,11 @@ def fit_model(center_phase, frequency, phase, amplitude, init=None):
             raise FitConstraintError(f"fit left the model validity region: {exc}") from exc
 
     centers = np.unique(x)
-    max_phi = np.empty(centers.size)
-    max_amp = np.empty(centers.size)
+    max_amp, max_phi = np.empty((2, centers.size))
     for i, c in enumerate(centers):
         sel = x == c
-        amp, theta = model_response(fitted, c, f[sel])
-        max_phi[i] = np.max(np.abs(wrap_phase(theta - obs_phase[sel])))
-        max_amp[i] = np.max(np.abs(amp - obs_amp[sel]))
+        max_amp[i], max_phi[i] = curve_errors(*model_response(fitted, c, f[sel]),
+                                              obs_amp[sel], obs_phase[sel])
     report = FitReport(centers, max_phi, max_amp, float(obj_init), float(best_obj),
                        no_improvement)
     return fitted, report

@@ -190,18 +190,29 @@ class TestRun:
         assert main(args) == 2
         assert "configuration error: cannot write" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "read-only-file",
+                                        "file-in-read-only-folder"])
     def test_unwritable_output_fails_before_simulating(self, tmp_path, monkeypatch, target):
+        writable = target == "file-in-read-only-folder"
         calls = []
 
-        def never(cfg):
+        def stop(cfg):
             calls.append(cfg)
-            raise AssertionError("simulated although the output cannot be written")
+            raise FloatingPointError("stop after the output check")
 
-        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", never)
-        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
-        assert main(["run", write(tmp_path, TINY), "--out", str(out)]) == 2
-        assert calls == []
+        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", stop)
+        out = {"missing-dir": tmp_path / "missing" / "x.csv",
+               "directory": tmp_path}.get(target, tmp_path / "old.csv")
+        # open(out, "w") truncates an existing file, which needs its own permission only
+        read_only = {"read-only-file": out, "file-in-read-only-folder": tmp_path}.get(target)
+        if read_only is not None:
+            out.write_text("old\n")
+            # root ignores file modes, so the permission answer is patched in
+            access = os.access
+            monkeypatch.setattr("os.access",
+                                lambda path, mode: access(path, mode) and path != str(read_only))
+        assert main(["run", write(tmp_path, TINY), "--out", str(out)]) == (3 if writable else 2)
+        assert len(calls) == writable
 
     def test_existing_output_is_left_alone_until_written(self, tmp_path, monkeypatch):
         out = tmp_path / "rates.csv"
@@ -262,6 +273,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert "power_dbm = " in err
         assert "without converging" not in err
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("scenario", ["model-validation", "rate-vs-power"])
+    def test_closed_stdout_is_config_error(self, tmp_path, scenario, buffered):
+        # a reader that exits at once, as in `irsofdm run CFG | true`; a buffered stdout
+        # still holds the failed bytes when the interpreter flushes it at exit
+        env = source_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "irsofdm.cli", "run", write(tmp_path, TINY),
+                                 "--scenario", scenario, "--drops", "1"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # before the interpreter has even imported the package
+        err = proc.stderr.read()
+        assert proc.wait() == 2
+        assert err.splitlines() == ["configuration error: cannot write standard output: "
+                                    "[Errno 32] Broken pipe"]
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_extreme_model_coefficient_runs_without_warnings(self, tmp_path):
         # alpha1 = 1e300 overflows the squared detuning; the clamped A is still 1

@@ -19,6 +19,7 @@ from irsofdm.experiments import (
     run_rate_vs_power,
     write_result_csv,
 )
+from irsofdm.reflection_model import curve_errors
 
 TINY_SYSTEM = SystemConfig(n_elements=4, n_subcarriers=4)
 
@@ -33,24 +34,26 @@ def tiny_config(**kw):
 class TestModelValidation:
     def test_default_targets_produce_five_curves(self):
         result = run_model_validation(ExperimentConfig(scenario="model-validation"))
-        assert len(result.curves) == 5
+        assert result.target_phase_deg.size == 5
         assert result.errors == []
-        for curve in result.curves:
-            assert curve.frequencies.size == 201
-            assert curve.max_phase_error <= np.deg2rad(25.0)
-            assert curve.max_amplitude_error <= 0.1
+        assert result.frequencies.size == 201
+        amp_error, phase_error = curve_errors(result.model_amplitude, result.model_phase,
+                                              result.circuit_amplitude, result.circuit_phase)
+        for t in range(5):
+            assert phase_error[t] <= np.deg2rad(25.0)
+            assert amp_error[t] <= 0.1
 
     def test_zero_target_phase_swings_far_negative_at_band_edge(self):
         result = run_model_validation(ExperimentConfig(scenario="model-validation"))
-        curve = next(c for c in result.curves if c.target_phase_deg == 0.0)
-        phase_deg = np.rad2deg(curve.circuit_phase[curve.frequencies == 2.5e9])
+        t = result.target_phase_deg.tolist().index(0.0)
+        phase_deg = np.rad2deg(result.circuit_phase[t][result.frequencies == 2.5e9])
         assert -115.0 <= phase_deg[0] <= -85.0
 
     def test_unreachable_target_reported_not_raised(self):
         cfg = ExperimentConfig(scenario="model-validation",
                                validation=ValidationSettings(target_phases_deg=(0.0, 180.0)))
         result = run_model_validation(cfg)
-        assert len(result.curves) == 1
+        assert result.target_phase_deg.size == 1
         assert len(result.errors) == 1
         assert result.errors[0][0] == 180.0
 
@@ -60,10 +63,35 @@ class TestModelValidation:
             validation=ValidationSettings(f_min=2.4e9, f_max=2.4e9, n_points=1,
                                           target_phases_deg=(0.0,)))
         result = run_model_validation(cfg)
-        curve = result.curves[0]
-        assert curve.frequencies.size == 1
-        assert abs(curve.circuit_phase[0]) <= np.deg2rad(1.0)
-        assert abs(curve.model_phase[0]) <= 1e-9
+        assert result.frequencies.size == 1
+        assert abs(result.circuit_phase[0, 0]) <= np.deg2rad(1.0)
+        assert abs(result.model_phase[0, 0]) <= 1e-9
+
+    @pytest.mark.parametrize("targets, reachable", [
+        # duplicates stay, and +-180 deg both wrap to the unreachable -pi
+        ((180.0, 0.0, -180.0, 0.0, 60.0, 120.0), [0.0, 0.0, 60.0, 120.0]),
+        ((180.0,), []),
+    ], ids=["duplicates-and-aliases", "none-reachable"])
+    def test_curves_follow_config_order(self, targets, reachable):
+        cfg = ExperimentConfig(scenario="model-validation",
+                               validation=ValidationSettings(n_points=7,
+                                                             target_phases_deg=targets))
+        result = run_model_validation(cfg)
+        assert result.target_phase_deg.tolist() == reachable
+        assert [deg for deg, _ in result.errors] == [t for t in targets if abs(t) == 180.0]
+        for curve in (result.circuit_amplitude, result.circuit_phase, result.model_amplitude,
+                      result.model_phase):
+            assert curve.shape == (len(reachable), 7)
+        rows = list(result.rows())
+        assert len(rows) == 7 * len(reachable)
+        assert [row[0] for row in rows[::7]] == reachable
+        # each row of the grid evaluation is the single-target curve
+        for t, deg in enumerate(reachable):
+            one = run_model_validation(dataclasses.replace(
+                cfg, validation=dataclasses.replace(cfg.validation, target_phases_deg=(deg,))))
+            for name in ("circuit_amplitude", "circuit_phase", "model_amplitude", "model_phase"):
+                np.testing.assert_array_equal(getattr(result, name)[t], getattr(one, name)[0])
+        assert len(list(result.summary())) == len(targets)
 
     def test_csv_columns(self, tmp_path):
         cfg = ExperimentConfig(

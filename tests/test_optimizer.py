@@ -65,12 +65,6 @@ def practical_table(ch, cb=CB):
 
 
 class TestPowerAllocation:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([0.1, -0.2]))
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([[1.0]]))
-
     def test_total(self):
         assert PowerAllocation(np.array([0.25, 0.75])).p.sum() == 1.0
 
@@ -126,6 +120,9 @@ class TestWaterFilling:
     def test_kkt_budget_and_zero_gains(self, instance):
         gains, sigma2, total = instance
         p = water_filling(gains, sigma2, total).p
+        # PowerAllocation does not check its powers; water_filling guarantees them
+        assert p.shape == gains.shape
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
         with np.errstate(divide="ignore"):
             ratios = sigma2 / gains
         active = p > 0.0

@@ -12,6 +12,7 @@ from irsofdm.reflection_model import (
     _curves,
     _fit_objective,
     codebook,
+    curve_errors,
     fit_model,
     model_response,
     reflection_table,
@@ -141,6 +142,25 @@ class TestModelReflection:
         for s, x in enumerate(cb.values):
             for k, f in enumerate(freqs):
                 assert table[s, k] == _reflection(DEFAULTS, float(x), float(f))
+
+
+class TestCurveErrors:
+    def test_grid_gives_the_per_row_maxima(self):
+        rng = np.random.default_rng(5)
+        amp, ref_amp = rng.uniform(0.0, 1.0, (2, 4, 9))
+        phase, ref_phase = rng.uniform(-np.pi, np.pi, (2, 4, 9))
+        amp_err, phase_err = curve_errors(amp, phase, ref_amp, ref_phase)
+        assert amp_err.shape == phase_err.shape == (4,)
+        for t in range(4):
+            assert amp_err[t] == np.max(np.abs(amp[t] - ref_amp[t]))
+            assert phase_err[t] == np.max(np.abs(wrap_phase(phase[t] - ref_phase[t])))
+            assert curve_errors(amp[t], phase[t], ref_amp[t], ref_phase[t]) == (amp_err[t],
+                                                                                 phase_err[t])
+
+    def test_phase_error_is_wrapped(self):
+        # 3.1 and -3.1 rad lie 2 pi - 6.2 rad apart across the branch cut, not 6.2
+        _, phase_err = curve_errors(np.ones(1), np.array([3.1]), np.ones(1), np.array([-3.1]))
+        assert phase_err == pytest.approx(2.0 * np.pi - 6.2)
 
 
 @st.composite

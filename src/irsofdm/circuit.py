@@ -109,28 +109,22 @@ def sweep_reflection(params, c, f_grid):
     return np.abs(phi), wrap_phase(np.angle(phi))
 
 
-# solve_capacitance: points of the capacitance scan, bisection steps, and the
-# largest wrapped phase miss (radians) it returns instead of raising
-_SCAN_POINTS = 512
-_BISECT_STEPS = 60
+# the largest wrapped phase miss (radians) solve_capacitance returns instead of raising
 _PHASE_TOL = np.deg2rad(1.0)
-
-
-def _phase_error(params, c, f_c, target_phase):
-    return float(wrap_phase(np.angle(reflection(params, c, f_c)) - target_phase))
 
 
 def solve_capacitance(params, target_phase, f_c):
     """Find the capacitance whose reflection phase at `f_c` hits `target_phase`.
 
-    Scans a uniform grid over [c_min, c_max], then bisects the sign change of
-    the wrapped phase error around the best grid point.  The phase is strictly
-    monotone in C through the resonance, so the bracketed root is unique.
+    The series reactance X = wL2 - 1/(wC) rises with C, and the reflection is
+    N(X) / D(X) with N and D linear in X.  The hits are the real roots X of
+    Im(exp(-j target) N conj(D)) = 0 with a positive real part; of two in the
+    range, the one of larger amplitude wins.  With none, the range end or phase
+    turning point (a root of Im(N' conj N) |D|^2 - Im(D' conj D) |N|^2) nearest
+    in phase is taken; it is returned if it misses by at most 1 degree.
 
-    Returns (capacitance, achieved_distance) with the distance in radians.
-    Raises UnreachablePhaseError if the best achievable wrapped distance
-    exceeds 1 degree; the error carries the best capacitance and its distance
-    anyway.
+    Returns (capacitance, achieved_distance) with the distance in radians, or
+    raises UnreachablePhaseError carrying both.
     """
     target_phase = float(target_phase)
     if not (-np.pi <= target_phase < np.pi):
@@ -139,42 +133,36 @@ def solve_capacitance(params, target_phase, f_c):
     if f_c <= 0.0:
         raise ValueError("design frequency must be positive")
 
-    grid = np.linspace(params.c_min, params.c_max, _SCAN_POINTS)
-    err = wrap_phase(np.angle(reflection(params, grid, f_c)) - target_phase)
-    dist = np.abs(err)
-    i = int(np.argmin(dist))
-    best_c = float(grid[i])
-    best_d = float(dist[i])
+    # N = n0 + n1 X and D = d0 + d1 X, from Z = jB S / (jB + S) with S = R + jX
+    w = 2.0 * np.pi * f_c
+    jb, r, z0 = 1j * w * params.l1, params.r, params.z0
+    n0, n1 = r * (jb - z0) - jb * z0, 1j * (jb - z0)
+    d0, d1 = r * (jb + z0) + jb * z0, 1j * (jb + z0)
+    x_min, x_max = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
 
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
-    e_lo = _phase_error(params, lo, f_c, target_phase)
-    e_hi = _phase_error(params, hi, f_c, target_phase)
-    if e_lo == 0.0:
-        best_c, best_d = lo, 0.0
-    elif e_hi == 0.0:
-        best_c, best_d = hi, 0.0
-    elif np.sign(e_lo) != np.sign(e_hi):
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            e_mid = _phase_error(params, mid, f_c, target_phase)
-            if e_mid == 0.0:
-                lo = hi = mid
-                break
-            if np.sign(e_mid) == np.sign(e_lo):
-                lo, e_lo = mid, e_mid
-            else:
-                hi, e_hi = mid, e_mid
-        for c in (lo, hi, 0.5 * (lo + hi)):
-            d = abs(_phase_error(params, c, f_c, target_phase))
-            if d < best_d:
-                best_c, best_d = c, d
+    def caps_of(roots):  # capacitances of the real roots in range, clipped against rounding
+        x = roots[np.isreal(roots)].real
+        x = x[(x_min <= x) & (x <= x_max)]
+        return np.clip(1.0 / (w * (w * params.l2 - x)), params.c_min, params.c_max)
+
+    p = np.exp(-1j * target_phase) * np.array(
+        [n1 * np.conj(d1), n1 * np.conj(d0) + n0 * np.conj(d1), n0 * np.conj(d0)])
+    roots = np.roots(p.imag)
+    caps = caps_of(roots[np.polyval(p, roots.real).real > 0.0])
+    hit = caps.size > 0
+    if not hit:
+        an, ad = n1 * np.conj(n0), d1 * np.conj(d0)
+        turns = np.roots(an.imag * np.array([abs(d1) ** 2, 2.0 * ad.real, abs(d0) ** 2])
+                         - ad.imag * np.array([abs(n1) ** 2, 2.0 * an.real, abs(n0) ** 2]))
+        caps = np.concatenate([[params.c_min, params.c_max], caps_of(turns)])
+    amp, phase = sweep_reflection(params, caps, f_c)
+    dist = np.abs(wrap_phase(phase - target_phase))
+    i = int(np.argmax(amp) if hit else np.argmin(dist))
+    best_c, best_d = float(caps[i]), float(dist[i])
 
     if best_d > _PHASE_TOL:
         raise UnreachablePhaseError(
             f"target phase {target_phase:.6f} rad unreachable at f = {f_c:.4g} Hz; "
             f"best C = {best_c:.6g} F misses by {np.rad2deg(best_d):.3f} deg",
-            best_capacitance=best_c,
-            achieved_distance=best_d,
-        )
+            best_capacitance=best_c, achieved_distance=best_d)
     return best_c, best_d

@@ -56,17 +56,38 @@ def _check_writable(out):
         raise ConfigError(f"cannot write {out}: not a file in an existing writable directory")
 
 
-def _emit(result, out):
-    try:
-        if out:
-            write_result_csv(out, result)
-        else:  # flushed inside the try: a reader that closed the pipe is an unwritable output
-            write_csv_rows(sys.stdout, result)
-            sys.stdout.flush()
+def _devnull(stream):  # the bytes a failed write left buffered must not fail the exit flush
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _to_stdout(write):
+    """Call `write(sys.stdout)` and flush; an unwritable standard output is a config error."""
+    if sys.stdout is None:  # closed before the interpreter started
+        raise ConfigError("cannot write standard output: it is closed")
+    try:  # flushed inside the try: a reader that closed the pipe is an unwritable output
+        write(sys.stdout)
+        sys.stdout.flush()
     except OSError as exc:
-        if not out:  # the unwritten bytes stay buffered: let the exit flush reach devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ConfigError(f"cannot write {out or 'standard output'}: {exc}") from exc
+        _devnull(sys.stdout)
+        raise ConfigError(f"cannot write standard output: {exc}") from exc
+
+
+def _say(line):
+    """One line to stderr; an unwritable stderr loses the line, never the exit code."""
+    try:
+        if sys.stderr is not None:  # None: closed before the interpreter started
+            print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _devnull(sys.stderr)
+
+
+def _emit(result, out):
+    if not out:
+        return _to_stdout(lambda fh: write_csv_rows(fh, result))
+    try:
+        write_result_csv(out, result)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _load(args):
@@ -89,7 +110,7 @@ def _run(cfg, out):
     result = runners[cfg.scenario](cfg)
     _emit(result, out)
     for line in result.summary():
-        print(line, file=sys.stderr)
+        _say(line)
     # model validation lists the targets that no capacitance reaches
     return 3 if getattr(result, "errors", None) else 0
 
@@ -100,14 +121,15 @@ def main(argv=None):
         cfg, out = _load(args)
         if args.command == "run":
             return _run(cfg, out)
-        print(f"ok: scenario {cfg.scenario}, seed {cfg.seed}, {cfg.n_drops} drops, "
-              f"N = {cfg.system.n_elements}, K = {cfg.system.n_subcarriers}")
+        _to_stdout(lambda fh: print(
+            f"ok: scenario {cfg.scenario}, seed {cfg.seed}, {cfg.n_drops} drops, "
+            f"N = {cfg.system.n_elements}, K = {cfg.system.n_subcarriers}", file=fh))
         return 0
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        _say(f"configuration error: {exc}")
         return 2
     except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _say(f"numerical failure: {exc}")
         return 3
 
 

@@ -152,7 +152,9 @@ def _watts(dbm):
 
 
 def _text(value):
-    return None if value is None else str(value)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"must be a string or null, got {value!r}")
+    return value
 
 
 def _list_of(convert):
@@ -231,14 +233,33 @@ def config_from_dict(raw):
     return _apply(ExperimentConfig(), raw, _TOP)
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, except that a mapping may not repeat an explicit key;
+    merge keys (`<<`) still supply defaults that explicit keys override."""
+
+    def construct_mapping(self, node, deep=False):
+        explicit = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
+        seen = set()
+        for key_node in explicit:
+            key = self.construct_object(key_node)  # built above, so this is a lookup
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_config(path):
     """Read and validate a YAML experiment configuration."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    # nesting beyond the parser's recursion and integers beyond Python's digit limit
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
         raw = {}

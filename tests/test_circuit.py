@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from irsofdm.circuit import (
     CircuitParams,
@@ -186,6 +188,48 @@ class TestSolveCapacitance:
         np.testing.assert_allclose(err.best_capacitance, PARAMS.c_max, atol=1e-14)
         np.testing.assert_allclose(err.achieved_distance, np.deg2rad(10.0236), atol=1e-3)
         assert "unreachable" in str(err)
+
+    def test_steep_lossy_swing_is_hit(self):
+        # at r = 4 ohm the phase crosses -177 deg between two points of a 512-point scan
+        params = CircuitParams(r=4.0)
+        c, dist = solve_capacitance(params, np.deg2rad(-177.0), self.F_C)
+        np.testing.assert_allclose(c, 1.387038e-12, atol=1e-18)
+        assert dist <= 1e-9
+        assert abs(wrap_phase(np.angle(reflection(params, c, self.F_C))
+                              - np.deg2rad(-177.0))) <= 1e-9
+
+    def test_of_two_hits_the_larger_amplitude_wins(self):
+        params = CircuitParams(r=4.0)
+        target = np.deg2rad(-150.0)
+        c, dist = solve_capacitance(params, target, self.F_C)
+        np.testing.assert_allclose(c, 1.6716e-12, atol=1e-16)
+        np.testing.assert_allclose(abs(reflection(params, c, self.F_C)), 0.728, atol=1e-3)
+        assert dist <= 1e-9
+        # the other hit reflects far less
+        other = 1.3923e-12
+        phi = reflection(params, other, self.F_C)
+        assert abs(wrap_phase(np.angle(phi) - target)) <= 1e-3
+        np.testing.assert_allclose(abs(phi), 0.048, atol=1e-3)
+
+    @given(st.floats(-2.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           st.floats(2.2e9, 2.6e9), st.floats(-np.pi, np.pi, exclude_max=True))
+    @example(np.log10(4.0), 0.0, 0.0, 2.4e9, np.deg2rad(-177.0))
+    def test_never_farther_than_a_dense_scan(self, log_r, log2_l1, log2_l2, f_c, target):
+        params = CircuitParams(r=10.0 ** log_r, l1=PARAMS.l1 * 2.0 ** log2_l1,
+                               l2=PARAMS.l2 * 2.0 ** log2_l2)
+        try:
+            c, dist = solve_capacitance(params, target, f_c)
+        except UnreachablePhaseError as exc:
+            c, dist = exc.best_capacitance, exc.achieved_distance
+            assert dist > np.deg2rad(1.0)
+        assert params.c_min <= c <= params.c_max
+        phi = reflection(params, c, f_c)
+        assert abs(phi) <= 1.0
+        np.testing.assert_allclose(dist, abs(wrap_phase(np.angle(phi) - target)), atol=1e-12)
+        grid = np.concatenate([np.linspace(params.c_min, params.c_max, 20_001),
+                               [params.c_min, params.c_max]])
+        scan = np.abs(wrap_phase(np.angle(reflection(params, grid, f_c)) - target))
+        assert dist <= scan.min() + 1e-9
 
     def test_target_outside_interval_rejected(self):
         with pytest.raises(ValueError):

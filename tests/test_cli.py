@@ -128,6 +128,12 @@ class TestValidateConfig:
         # SNR and power far below the ceiling, but a mean received gain of 1.3e308
         "system: {ref_attenuation_db: -1563, max_power_dbm: -2000, n_elements: 2,"
         " n_subcarriers: 2}\npower_sweep_dbm: [-2000]\nelement_sweep: [2]\n",
+        # a repeated key, which would silently keep the last value
+        "n_drops: 2\nn_drops: 5\nsystem: {n_elements: 4}\nsystem: {n_subcarriers: 8}\n",
+        # nesting beyond the parser's recursion, and an integer beyond Python's digit limit
+        pytest.param("power_sweep_dbm: " + "[" * 5000 + "]" * 5000 + "\n", id="deep-nesting"),
+        pytest.param("seed: " + "1" * 4400 + "\n", id="4400-digit-integer"),
+        "output_csv: !!binary aGVsbG8=\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -292,6 +298,37 @@ class TestRun:
         assert err.splitlines() == ["configuration error: cannot write standard output: "
                                     "[Errno 32] Broken pipe"]
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_stdout_closed_at_start_is_config_error(self, tmp_path, command):
+        # as in `irsofdm run CFG >&-`: the interpreter starts with no stdout at all
+        out = subprocess.run([sys.executable, "-m", "irsofdm.cli", command, write(tmp_path, TINY)],
+                             env=source_env(), preexec_fn=lambda: os.close(1),
+                             stderr=subprocess.PIPE, text=True)
+        assert out.returncode == 2
+        assert out.stderr == "configuration error: cannot write standard output: it is closed\n"
+
+    @pytest.mark.parametrize("stderr, text, code", [
+        ("closed", TINY, 0), ("closed", "n_drops: [\n", 2), ("broken", TINY, 0),
+        ("broken", "scenario: model-validation\nvalidation: {target_phases_deg: [180]}\n", 3),
+    ], ids=["closed-ok", "closed-config-error", "broken-ok", "broken-numerical-failure"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, stderr, text, code):
+        # `2>&-` starts the interpreter with no stderr; a reader that exits at once
+        # breaks the pipe under a buffered stderr; a traceback would give exit 1
+        env = source_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        args = [sys.executable, "-m", "irsofdm.cli", "run", write(tmp_path, text),
+                "--out", str(tmp_path / "out.csv")]
+        if stderr == "closed":
+            proc = subprocess.Popen(args, env=env, preexec_fn=lambda: os.close(2),
+                                    stdout=subprocess.PIPE, text=True)
+        else:
+            proc = subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True)
+            proc.stderr.close()
+        assert proc.stdout.read() == ""  # the lost lines do not move to stdout
+        assert proc.wait() == code
+        assert (tmp_path / "out.csv").exists() == (code != 2)
 
     def test_extreme_model_coefficient_runs_without_warnings(self, tmp_path):
         # alpha1 = 1e300 overflows the squared detuning; the clamped A is still 1

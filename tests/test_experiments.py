@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import irsofdm.optimizer
 from irsofdm.channel import SystemConfig
+from irsofdm.circuit import CircuitParams
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
     SCHEMES,
@@ -56,6 +57,14 @@ class TestModelValidation:
         assert result.target_phase_deg.size == 1
         assert len(result.errors) == 1
         assert result.errors[0][0] == 180.0
+
+    def test_steep_lossy_target_reported(self):
+        # at r = 4 ohm the phase swings through -177 deg within one 3.7e-15 F step
+        cfg = ExperimentConfig(scenario="model-validation", circuit=CircuitParams(r=4.0),
+                               validation=ValidationSettings(target_phases_deg=(-177.0,)))
+        result = run_model_validation(cfg)
+        assert result.errors == []
+        assert result.target_phase_deg.tolist() == [-177.0]
 
     def test_single_point_grid(self):
         cfg = ExperimentConfig(

@@ -13,7 +13,6 @@ from .circuit import (
     SingularCircuitError,
     UnreachablePhaseError,
     wrap_phase,
-    impedance,
     reflection,
     solve_capacitance,
     sweep_reflection,

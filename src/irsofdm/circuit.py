@@ -1,18 +1,17 @@
 """Equivalent-circuit model of a single reflecting element.
 
 Each element behaves as a parallel resonant tank: a bottom-layer inductor L1
-in parallel with the series branch formed by the top-layer inductor L2, the
-tunable capacitor C and the loss resistance R.  The chip impedance is
+in parallel with the series branch S = R + jX of the top-layer inductor L2,
+the tunable capacitor C and the loss resistance R, with X = wL2 - 1/(wC) and
+w = 2*pi*f.  Against the free-space impedance Z0 the reflection coefficient is
 
-    Z(C, f) = jwL1 (jwL2 + 1/(jwC) + R) / (jwL1 + jwL2 + 1/(jwC) + R)
+    phi = (Z - Z0) / (Z + Z0) = (n0 + n1 X) / (d0 + d1 X),  Z = jwL1 S / (jwL1 + S),
 
-with w = 2*pi*f, and the reflection coefficient follows from the mismatch
-against the free-space impedance Z0,
-
-    phi(C, f) = (Z(C, f) - Z0) / (Z(C, f) + Z0).
-
-Varying C moves the resonance, which steers the reflection phase at the
-design frequency; the amplitude dips near resonance because R burns power.
+the ratio once multiplied through by jwL1 + S.  `reflection` evaluates it and
+`solve_capacitance` roots it; it stays finite where Z does not, so a lossless
+element at resonance reflects phi = 1.  Varying C moves the resonance, which
+steers the phase at the design frequency; the amplitude dips near resonance
+because R burns power.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 
 class SingularCircuitError(ArithmeticError):
-    """Impedance evaluation produced a non-finite value."""
+    """Reflection evaluation produced a non-finite value."""
 
 
 class UnreachablePhaseError(ValueError):
@@ -67,8 +66,15 @@ class CircuitParams:
             raise ValueError("need 0 < c_min < c_max")
 
 
-def impedance(params, c, f):
-    """Chip impedance Z(C, f) of the element equivalent circuit.
+def _coefficients(params, w):
+    """Coefficients (n0, n1, d0, d1) of phi = (n0 + n1 X) / (d0 + d1 X) at
+    angular frequency `w`; for R >= 0 the denominator has no real root."""
+    jb, r, z0 = 1j * w * params.l1, params.r, params.z0
+    return r * (jb - z0) - jb * z0, 1j * (jb - z0), r * (jb + z0) + jb * z0, 1j * (jb + z0)
+
+
+def reflection(params, c, f):
+    """Complex reflection coefficient of the element equivalent circuit.
 
     `c` and `f` may be scalars or arrays (broadcast together); both must be
     strictly positive.
@@ -79,26 +85,14 @@ def impedance(params, c, f):
         raise ValueError("capacitance and frequency must be positive")
     with np.errstate(all="ignore"):
         w = 2.0 * np.pi * f
-        # series branch keeps the real part exactly r, so r = 0 stays lossless
-        # in floating point instead of picking up rounding dust
-        series = params.r + 1j * (w * params.l2 - 1.0 / (w * c))
-        shunt = 1j * (w * params.l1)
-        try:
-            z = shunt * series / (shunt + series)
-        except ZeroDivisionError:  # scalar inputs divide Python complex numbers
-            z = complex("nan")
-    bad = ~np.isfinite(z)
+        n0, n1, d0, d1 = _coefficients(params, w)
+        x = w * params.l2 - 1.0 / (w * c)
+        phi = (n0 + n1 * x) / (d0 + d1 * x)
+    bad = ~np.isfinite(phi)
     if np.any(bad):  # name the first frequency where it is
         f_bad = float(np.broadcast_to(f, bad.shape)[bad][0])
-        raise SingularCircuitError(f"impedance is non-finite at f = {f_bad!r} Hz")
-    return z
-
-
-def reflection(params, c, f):
-    """Complex reflection coefficient (Z - Z0) / (Z + Z0); Re Z >= 0 and
-    Z0 > 0, so the denominator is never zero."""
-    z = impedance(params, c, f)
-    return (z - params.z0) / (z + params.z0)
+        raise SingularCircuitError(f"reflection is non-finite at f = {f_bad!r} Hz")
+    return phi
 
 
 def sweep_reflection(params, c, f_grid):
@@ -117,11 +111,11 @@ def solve_capacitance(params, target_phase, f_c):
     """Find the capacitance whose reflection phase at `f_c` hits `target_phase`.
 
     The series reactance X = wL2 - 1/(wC) rises with C, and the reflection is
-    N(X) / D(X) with N and D linear in X.  The hits are the real roots X of
-    Im(exp(-j target) N conj(D)) = 0 with a positive real part; of two in the
-    range, the one of larger amplitude wins.  With none, the range end or phase
-    turning point (a root of Im(N' conj N) |D|^2 - Im(D' conj D) |N|^2) nearest
-    in phase is taken; it is returned if it misses by at most 1 degree.
+    N / D with N = n0 + n1 X and D = d0 + d1 X.  The hits are the real roots X
+    of Im(exp(-j target) N conj(D)) = 0 with a positive real part; of two in
+    the range, the one of larger amplitude wins.  With none, the range end or
+    phase turning point (a root of Im(N' conj N) |D|^2 - Im(D' conj D) |N|^2)
+    nearest in phase is taken; it is returned if it misses by at most 1 degree.
 
     Returns (capacitance, achieved_distance) with the distance in radians, or
     raises UnreachablePhaseError carrying both.
@@ -133,11 +127,8 @@ def solve_capacitance(params, target_phase, f_c):
     if f_c <= 0.0:
         raise ValueError("design frequency must be positive")
 
-    # N = n0 + n1 X and D = d0 + d1 X, from Z = jB S / (jB + S) with S = R + jX
     w = 2.0 * np.pi * f_c
-    jb, r, z0 = 1j * w * params.l1, params.r, params.z0
-    n0, n1 = r * (jb - z0) - jb * z0, 1j * (jb - z0)
-    d0, d1 = r * (jb + z0) + jb * z0, 1j * (jb + z0)
+    n0, n1, d0, d1 = _coefficients(params, w)
     x_min, x_max = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
 
     def caps_of(roots):  # capacitances of the real roots in range, clipped against rounding

@@ -214,8 +214,9 @@ def _apply(base, mapping, table, where="configuration root"):
     changes = {}
     for key, value in mapping.items():
         field, convert = table[key]
-        if isinstance(convert, dict):
-            value = _apply(getattr(base, field), value or {}, convert, f"section {key!r}")
+        if isinstance(convert, dict):  # an empty section (`system:`) reads as null
+            value = _apply(getattr(base, field), {} if value is None else value, convert,
+                           f"section {key!r}")
         else:
             try:
                 value = convert(value)

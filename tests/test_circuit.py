@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from irsofdm.circuit import (
     CircuitParams,
     SingularCircuitError,
     UnreachablePhaseError,
-    impedance,
     reflection,
     solve_capacitance,
     sweep_reflection,
@@ -17,6 +16,18 @@ from irsofdm.circuit import (
 )
 
 PARAMS = CircuitParams()
+# at this capacitance the lossless branches cancel exactly at 2.4 GHz
+LOSSLESS_RESONANCE_C = 1.3742565055655624e-12
+
+
+def impedance(params, c, f):
+    """Reference chip impedance, the two-branch formula jwL1 S / (jwL1 + S)
+    with S = R + jX; infinite or NaN where a lossless element resonates."""
+    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    series = params.r + 1j * (w * params.l2 - 1.0 / (w * np.asarray(c, dtype=float)))
+    shunt = 1j * (w * params.l1)
+    with np.errstate(all="ignore"):
+        return np.divide(shunt * series, shunt + series)  # scalars too give inf, not an error
 
 
 class TestWrapPhase:
@@ -61,22 +72,6 @@ class TestImpedance:
         f = rng.uniform(2.0e9, 3.0e9, 200)
         assert np.all(impedance(PARAMS, c, f).real > 0.0)
 
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            impedance(PARAMS, 0.0, 2.4e9)
-        with pytest.raises(ValueError):
-            impedance(PARAMS, 1e-12, -2.4e9)
-
-    def test_overflow_raises_singular_error(self):
-        with pytest.raises(SingularCircuitError):
-            impedance(PARAMS, 1e-12, 1e308)
-
-    @pytest.mark.parametrize("c", [1.3742565055655624e-12, np.array([1.3742565055655624e-12])])
-    def test_lossless_resonance_raises_singular_error(self, c):
-        # at this capacitance the lossless branches cancel exactly at 2.4 GHz
-        with pytest.raises(SingularCircuitError):
-            impedance(CircuitParams(r=0.0), c, 2.4e9)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             CircuitParams(l1=0.0)
@@ -89,6 +84,31 @@ class TestImpedance:
 
 
 class TestReflection:
+    @given(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), st.floats(-1.0, 1.0),
+           st.floats(-1.0, 1.0), st.floats(PARAMS.c_min, PARAMS.c_max), st.floats(1e9, 4e9))
+    @example(0.0, 0.0, 0.0, LOSSLESS_RESONANCE_C * (1.0 + 1e-9), 2.4e9)
+    def test_matches_the_two_branch_reference(self, r, log2_l1, log2_l2, c, f):
+        params = CircuitParams(r=r, l1=PARAMS.l1 * 2.0 ** log2_l1, l2=PARAMS.l2 * 2.0 ** log2_l2)
+        z = impedance(params, c, f)
+        assume(np.isfinite(z))
+        np.testing.assert_allclose(reflection(params, c, f), (z - params.z0) / (z + params.z0),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_rejects_nonpositive_inputs(self):
+        with pytest.raises(ValueError):
+            reflection(PARAMS, 0.0, 2.4e9)
+        with pytest.raises(ValueError):
+            reflection(PARAMS, 1e-12, -2.4e9)
+
+    def test_overflow_raises_singular_error(self):
+        with pytest.raises(SingularCircuitError):
+            reflection(PARAMS, 1e-12, 1e308)
+
+    @pytest.mark.parametrize("c", [LOSSLESS_RESONANCE_C, np.array([LOSSLESS_RESONANCE_C])])
+    def test_lossless_resonance_reflects_one(self, c):
+        # Z is infinite here, but the ratio in X is not
+        np.testing.assert_allclose(reflection(CircuitParams(r=0.0), c, 2.4e9), 1.0, atol=1e-12)
+
     def test_reference_polar_value(self):
         phi = reflection(PARAMS, 1.0e-12, 2.4e9)
         np.testing.assert_allclose(np.abs(phi), 0.9791712030, rtol=1e-9)
@@ -152,6 +172,12 @@ class TestSolveCapacitance:
         c, dist = solve_capacitance(PARAMS, 0.0, self.F_C)
         np.testing.assert_allclose(c, 1.375013e-12, atol=2e-15)
         assert dist <= 1e-9
+
+    @pytest.mark.parametrize("f_c", [2.4e9, 2.45e9])
+    def test_lossless_zero_phase_sits_at_resonance(self, f_c):
+        c, dist = solve_capacitance(CircuitParams(r=0.0), 0.0, f_c)
+        assert dist <= 1e-9
+        np.testing.assert_allclose(reflection(CircuitParams(r=0.0), c, f_c), 1.0, atol=1e-9)
 
     def test_known_targets_round_trip(self):
         # references from a dense scan of the phase curve at 2.4 GHz
@@ -256,9 +282,10 @@ class TestSweepReflection:
         assert -115.0 <= np.rad2deg(phase_off) <= -85.0
 
     def test_names_the_frequency_where_the_circuit_is_singular(self):
-        # the lossless branches cancel at this capacitance exactly at 2.4 GHz
-        with pytest.raises(SingularCircuitError, match=r"at f = 2400000000\.0 Hz"):
-            sweep_reflection(CircuitParams(r=0.0), 1.3742565055655624e-12, [2.3e9, 2.4e9])
+        # the lossless resonance at 2.4 GHz is finite; both later frequencies overflow
+        with pytest.raises(SingularCircuitError,
+                           match=r"^reflection is non-finite at f = 5e\+305 Hz$"):
+            sweep_reflection(CircuitParams(r=0.0), LOSSLESS_RESONANCE_C, [2.4e9, 5e305, 1e308])
 
     def test_amplitude_dip_sits_at_the_phase_zero(self):
         c, _ = solve_capacitance(PARAMS, 0.0, 2.4e9)

@@ -134,6 +134,8 @@ class TestValidateConfig:
         pytest.param("power_sweep_dbm: " + "[" * 5000 + "]" * 5000 + "\n", id="deep-nesting"),
         pytest.param("seed: " + "1" * 4400 + "\n", id="4400-digit-integer"),
         "output_csv: !!binary aGVsbG8=\n",
+        # a section that is a falsy scalar or an empty list, not a mapping
+        "system: 0\n", "system: false\n", "system: []\n", "system: ''\n", "optimizer: 0\n",
     ])
     def test_rejected_at_load_by_both_commands(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -244,10 +246,21 @@ class TestRun:
         assert "failed" in capsys.readouterr().err
 
     def test_singular_circuit_is_numerical_failure(self, tmp_path, capsys):
-        # the lossless circuit's branches cancel at a capacitance the phase solver visits
-        cfg = write(tmp_path, "scenario: model-validation\ncircuit: {r_ohm: 0.0}\n")
+        # the grid's second frequency, 5e305 Hz, overflows the circuit's reflection
+        cfg = write(tmp_path, "scenario: model-validation\nvalidation: {f_max_hz: 1.0e308}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "val.csv")]) == 3
-        assert "numerical failure: impedance is non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("numerical failure: reflection is non-finite "
+                                           "at f = 5e+305 Hz\n")
+
+    def test_lossless_circuit_validates(self, tmp_path):
+        # the zero-phase target puts a lossless element exactly at resonance, where phi = 1
+        cfg = write(tmp_path, "scenario: model-validation\ncircuit: {r_ohm: 0.0}\n")
+        out = tmp_path / "val.csv"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            amps = [float(row["circuit_amp"]) for row in csv.DictReader(fh)]
+        assert len(amps) == 5 * 201
+        np.testing.assert_allclose(amps, 1.0, atol=1e-12, rtol=0.0)
 
     def test_model_validation_writes_curves(self, tmp_path, capsys):
         cfg = write(tmp_path, ("scenario: model-validation\n"
@@ -281,16 +294,20 @@ class TestRun:
         assert "without converging" not in err
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("scenario", ["model-validation", "rate-vs-power"])
+    @pytest.mark.parametrize("scenario", ["model-validation", "rate-vs-power",
+                                          pytest.param(None, id="validate-config")])
     def test_closed_stdout_is_config_error(self, tmp_path, scenario, buffered):
         # a reader that exits at once, as in `irsofdm run CFG | true`; a buffered stdout
-        # still holds the failed bytes when the interpreter flushes it at exit
+        # still holds the failed bytes when the interpreter flushes it at exit, and the
+        # read end closes before the child starts, so even validate-config's one line breaks
         env = source_env()
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen([sys.executable, "-m", "irsofdm.cli", "run", write(tmp_path, TINY),
-                                 "--scenario", scenario, "--drops", "1"], env=env,
+        cfg = write(tmp_path, TINY)
+        command = (["validate-config", cfg] if scenario is None
+                   else ["run", cfg, "--scenario", scenario, "--drops", "1"])
+        proc = subprocess.Popen([sys.executable, "-m", "irsofdm.cli", *command], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         proc.stdout.close()  # before the interpreter has even imported the package
         err = proc.stderr.read()
@@ -473,3 +490,46 @@ def test_no_config_escapes_the_exit_codes(raw):
         assert (checked == 2) == (ran == 2)
         if ran == 0:
             assert _finite_numbers(out)
+
+
+# YAML-text fuzz: a tiny config (1 drop, N = K = 4, 2 sweep points) written as
+# text, with up to two entries replaced by fragments that no dumped mapping
+# holds (long integer literals, deep nesting, anchors, aliases and merge keys,
+# repeated keys, sections that are scalars or lists, and tags) and, one time in
+# four, an entry repeated.  `&p` and `&o` anchor the base's power sweep and
+# optimizer section; a fragment that replaces one leaves its aliases undefined.
+TEXT_BASE = {"n_drops": "1", "power_sweep_dbm": "&p [0, 30]", "element_sweep": "[0, 4]",
+             "optimizer": "&o {max_outer: 2}", "system": "{n_elements: 4, n_subcarriers: 4}",
+             "validation": "{n_points: 4, target_phases_deg: *p}"}
+FRAGMENTS = [
+    "0", "4", "false", "''", "null", "[]", "[1, 2]", "{}", "1" * 25, "1" * 4400,
+    "*p", "*o", "[&q 4, *q]", "{<<: *o}", "{<<: *o, max_sweeps: 3}", "{<<: [*o, *o]}",
+    "{n_elements: 2, n_elements: 3}", "[" * 50 + "]" * 50,
+    "{a: " * 1000 + "1" + "}" * 1000,  # beyond the parser's recursion
+    "!!binary aGVsbG8=", "!!timestamp 2001-12-14", "!!set {a, b}",
+    "!!python/object:builtins.object {}",
+]
+
+
+@st.composite
+def config_texts(draw):
+    entries = dict(TEXT_BASE, scenario=draw(st.sampled_from(SCENARIOS)))
+    for key in draw(st.lists(st.sampled_from(sorted(_TOP)), max_size=2, unique=True)):
+        entries[key] = draw(st.sampled_from(FRAGMENTS))
+    lines = [f"{key}: {value}" for key, value in entries.items()]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(lines)))  # a repeated key
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config_texts())
+def test_no_config_text_escapes_the_exit_codes(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "cfg.yaml")
+        with open(path, "w") as fh:
+            fh.write(text)
+        checked = main(["validate-config", path])
+        ran = main(["run", path, "--out", os.path.join(folder, "out.csv")])
+        assert checked in (0, 2) and ran in (0, 2, 3)
+        assert (checked == 2) == (ran == 2)

@@ -32,6 +32,11 @@ class TestDefaults:
         assert cfg.optimizer == OptimizerSettings()
         assert cfg.validation == ValidationSettings()
 
+    def test_null_section_keeps_its_defaults(self, tmp_path):
+        # `system:` with nothing under it is YAML null, an empty section
+        cfg = load_config(write(tmp_path, "seed: 4\nsystem:\noptimizer:\n"))
+        assert cfg == dataclasses.replace(ExperimentConfig(), seed=4)
+
 
 class TestUnitKeys:
     def test_dbm_keys_convert_to_watts(self, tmp_path):

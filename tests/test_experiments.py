@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irsofdm.optimizer
-from irsofdm.channel import SystemConfig
-from irsofdm.circuit import CircuitParams
+from irsofdm.channel import SystemConfig, dbm_to_watts, subcarrier_frequencies
+from irsofdm.circuit import (
+    CircuitParams,
+    UnreachablePhaseError,
+    solve_capacitance,
+    sweep_reflection,
+)
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
     SCHEMES,
+    _water_filled_rate,
     drop_channel,
     run_convergence_trace,
     run_model_validation,
@@ -20,7 +26,9 @@ from irsofdm.experiments import (
     run_rate_vs_power,
     write_result_csv,
 )
-from irsofdm.reflection_model import curve_errors
+from irsofdm.kernels import combined_gains
+from irsofdm.optimizer import alternating_optimize, design_tables
+from irsofdm.reflection_model import codebook, curve_errors
 
 TINY_SYSTEM = SystemConfig(n_elements=4, n_subcarriers=4)
 
@@ -224,6 +232,40 @@ class TestDesignTablesPerRun:
     def test_element_sweep_builds_the_table_once(self, table_builds):
         run_rate_vs_elements(tiny_config(scenario="rate-vs-elements", element_sweep=(2, 4)))
         assert len(table_builds) == 1
+
+
+class TestCircuitTable:
+    def test_practical_design_beats_ideal_on_the_circuit(self):
+        # the circuit's own response to each entry of the default 3-bit codebook, tuned at
+        # the center frequency; -180 deg is out of reach, so it takes the nearest capacitance
+        cfg = ExperimentConfig()
+        system, circuit = cfg.system, cfg.circuit
+        cb = codebook(cfg.codebook_bits)
+        caps = []
+        for x in cb.values:
+            try:
+                caps.append(solve_capacitance(circuit, x, system.center_frequency)[0])
+            except UnreachablePhaseError as exc:
+                caps.append(exc.best_capacitance)
+        freqs = subcarrier_frequencies(system.center_frequency, system.bandwidth,
+                                       system.n_subcarriers)
+        amp, phase = sweep_reflection(circuit, np.array(caps)[:, None], freqs)
+        assert np.all(amp <= 1.0)
+        table = amp * np.exp(1j * phase)
+        practical, ideal = design_tables(cfg.model, cb, freqs)
+        channels = [drop_channel(system, 0, drop) for drop in range(20)]
+        for dbm in (-10.0, 10.0, 30.0):
+            budget = dataclasses.replace(system, max_power=float(dbm_to_watts(dbm)))
+            gap = []
+            for channel in channels:
+                rates = []
+                for design in (practical, ideal):
+                    indices = alternating_optimize(channel, cb, design, budget)[0]
+                    g = combined_gains(channel.h_direct, channel.cascade, table[indices])
+                    rates.append(_water_filled_rate(g, budget))
+                gap.append(rates[0] - rates[1])
+            # paired over the drops: the mean gap exceeds three standard errors
+            assert np.mean(gap) > 3.0 * np.std(gap, ddof=1) / np.sqrt(len(gap)), dbm
 
 
 @settings(max_examples=10, deadline=None)

@@ -19,7 +19,6 @@ from .circuit import (
 )
 from .reflection_model import (
     ModelParams,
-    FitConstraintError,
     codebook,
     model_response,
     reflection_table,

@@ -46,8 +46,9 @@ def ap_user_distance(d_ap_irs, d_irs_user, user_angle):
     exact power of two, so that their squares do not overflow."""
     e = max(math.frexp(max(d_ap_irs, d_irs_user))[1] - 500, 0)
     a, b = math.ldexp(d_ap_irs, -e), math.ldexp(d_irs_user, -e)
+    d2 = a ** 2 + b ** 2 - 2.0 * a * b * np.cos(user_angle)  # rounding can go below (a - b)^2
     with np.errstate(over="ignore"):  # inf only for a distance beyond the float range
-        return float(np.ldexp(np.sqrt(a ** 2 + b ** 2 - 2.0 * a * b * np.cos(user_angle)), e))
+        return float(np.ldexp(np.sqrt(max(d2, (a - b) ** 2)), e))
 
 
 @dataclasses.dataclass(frozen=True)

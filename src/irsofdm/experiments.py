@@ -38,9 +38,9 @@ def _water_filled_rate(g, system):
 
 
 def simulate_drop_rates(channel, cb, tables, system, settings):
-    """Achievable rate of each scheme on one channel realization, and the
-    number of its two designs that stopped at `settings.max_outer` or
-    `settings.max_sweeps` without converging.
+    """Achievable rates of the schemes, in `SCHEMES` order, on one channel
+    realization, and the number of its two designs that stopped at
+    `settings.max_outer` or `settings.max_sweeps` without converging.
 
     `tables` are the run's (practical, ideal) `design_tables`.
     practical: joint alternating design on the practical table.
@@ -54,8 +54,7 @@ def simulate_drop_rates(channel, cb, tables, system, settings):
                                                               settings)
     indices, _, _, trace_ideal = alternating_optimize(channel, cb, ideal, system, settings)
     g = combined_gains(channel.h_direct, channel.cascade, practical[indices])
-    rates = {"practical": r_practical, "ideal": _water_filled_rate(g, system),
-             "no_irs": _water_filled_rate(channel.h_direct, system)}
+    rates = r_practical, *(_water_filled_rate(x, system) for x in (g, channel.h_direct))
     return rates, (not trace_practical.converged) + (not trace_ideal.converged)
 
 
@@ -81,11 +80,9 @@ class ModelValidationResult:
               "model_phase_rad", "model_amp")
 
     def rows(self):
-        for t, deg in enumerate(self.target_phase_deg.tolist()):
-            for i in range(self.frequencies.size):
-                yield (deg, float(self.frequencies[i]),
-                       float(self.circuit_phase[t, i]), float(self.circuit_amplitude[t, i]),
-                       float(self.model_phase[t, i]), float(self.model_amplitude[t, i]))
+        columns = (self.target_phase_deg[:, None], self.frequencies, self.circuit_phase,
+                   self.circuit_amplitude, self.model_phase, self.model_amplitude)
+        yield from zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))
 
     def summary(self):
         """Lines for stderr: each curve's errors, then each unreachable target."""
@@ -127,30 +124,34 @@ class RateSweepResult:
     sweep_var: str
     sweep_values: tuple
     seed: int
-    n_drops: int
-    per_drop: dict  # (sweep_value, scheme) -> (n_drops,) rates
+    rates: np.ndarray  # (len(sweep_values), len(SCHEMES), n_drops), schemes in SCHEMES order
     nonconverged: int  # designs that stopped at an iteration cap without converging
     settings: OptimizerSettings  # the stopping rules of the designs
 
     header = ("sweep_var", "sweep_value", "scheme", "mean_rate_bps_hz",
               "std_rate", "n_drops", "seed")
 
-    def mean_rate(self, value, scheme):
-        return float(np.mean(self.per_drop[(value, scheme)]))
-
     def rows(self):
-        for value in self.sweep_values:
-            for scheme in SCHEMES:
-                rates = self.per_drop[(value, scheme)]
-                std = float(np.std(rates, ddof=1)) if rates.size > 1 else 0.0
-                yield (self.sweep_var, value, scheme, float(np.mean(rates)),
-                       std, self.n_drops, self.seed)
+        n_drops = self.rates.shape[-1]  # ddof 0 at one drop: a std of 0.0, not NaN
+        columns = (self.rates.mean(axis=-1), self.rates.std(axis=-1, ddof=int(n_drops > 1)))
+        for value, means, stds in zip(self.sweep_values, *(c.tolist() for c in columns)):
+            for row in zip(SCHEMES, means, stds):
+                yield (self.sweep_var, value, *row, n_drops, self.seed)
 
     def summary(self):
-        """Lines for stderr: the mean rates at each point, then any non-convergence."""
-        for value in self.sweep_values:
-            parts = ", ".join(f"{s} {self.mean_rate(value, s):.4f}" for s in SCHEMES)
+        """Lines for stderr: the mean rates at each point, each followed by the
+        paired gaps practical - ideal and ideal - no_irs; then any non-convergence."""
+        n_drops = self.rates.shape[-1]
+        gaps = self.rates[:, :-1] - self.rates[:, 1:]
+        errors = gaps.std(axis=-1, ddof=int(n_drops > 1)) / np.sqrt(n_drops)
+        columns = (self.rates.mean(axis=-1), gaps.mean(axis=-1), errors, (gaps < 0.0).sum(axis=-1))
+        for value, means, *gap in zip(self.sweep_values, *(c.tolist() for c in columns)):
+            parts = ", ".join(f"{s} {r:.4f}" for s, r in zip(SCHEMES, means))
             yield f"{self.sweep_var} = {value}: {parts} bit/s/Hz"
+            for a, b, mean, se, below in zip(SCHEMES, SCHEMES[1:], *gap):
+                paired = (f"+- {se:.4f} bit/s/Hz (paired mean +- standard error)" if n_drops > 1
+                          else "bit/s/Hz (one drop: no standard error)")
+                yield f"  {a} - {b}: {mean:.4f} {paired}, below 0 in {below} of {n_drops} drops"
         if self.nonconverged:
             yield (f"warning: {self.nonconverged} designs stopped at max_outer = "
                    f"{self.settings.max_outer} or max_sweeps = {self.settings.max_sweeps} "
@@ -158,7 +159,7 @@ class RateSweepResult:
 
 
 def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
-    """Mean rate of every scheme at each sweep point, on shared drops.
+    """Rate of every scheme at each sweep point on each of the shared drops.
 
     Point i designs with `systems[i]` on the first `element_counts[i]`
     elements of each drop's channel.  A drop's channel is drawn once, at the
@@ -168,18 +169,15 @@ def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
     """
     cb, tables = _design_inputs(cfg)
     system_full = dataclasses.replace(cfg.system, n_elements=max(element_counts))
-    per_drop = {(v, s): np.empty(cfg.n_drops) for v in values for s in SCHEMES}
+    rates = np.empty((len(values), len(SCHEMES), cfg.n_drops))
     nonconverged = 0
     for drop in range(cfg.n_drops):
         channel = drop_channel(system_full, cfg.seed, drop)
-        for v, system, n in zip(values, systems, element_counts):
-            rates, stalled = simulate_drop_rates(take_elements(channel, n), cb, tables, system,
-                                                 cfg.optimizer)
+        for i, (system, n) in enumerate(zip(systems, element_counts)):
+            rates[i, :, drop], stalled = simulate_drop_rates(take_elements(channel, n), cb,
+                                                             tables, system, cfg.optimizer)
             nonconverged += stalled
-            for s in SCHEMES:
-                per_drop[(v, s)][drop] = rates[s]
-    return RateSweepResult(sweep_var, values, cfg.seed, cfg.n_drops, per_drop, nonconverged,
-                           cfg.optimizer)
+    return RateSweepResult(sweep_var, values, cfg.seed, rates, nonconverged, cfg.optimizer)
 
 
 def run_rate_vs_power(cfg):

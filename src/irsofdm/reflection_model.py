@@ -34,10 +34,6 @@ _FIT_AMP_WEIGHT = 4.0
 _FIT_EVALS = 20000
 
 
-class FitConstraintError(ValueError):
-    """Fit result violates the model validity constraints."""
-
-
 @dataclasses.dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the analytical reflection model (dimensionless)."""
@@ -213,13 +209,9 @@ def fit_model(center_phase, frequency, phase, amplitude, init=None):
 
     no_improvement = not best_obj < obj_init - 1e-12 * max(1.0, abs(obj_init))
     if no_improvement:
-        fitted = init
-        best_obj = obj_init
+        fitted, best_obj = init, obj_init
     else:
-        try:
-            fitted = ModelParams.from_array(best_vec)
-        except ValueError as exc:
-            raise FitConstraintError(f"fit left the model validity region: {exc}") from exc
+        fitted = ModelParams.from_array(best_vec)
 
     centers = np.unique(x)
     max_amp, max_phi = np.empty((2, centers.size))

@@ -187,9 +187,7 @@ def test_alternating_bounded_by_exhaustive(capsys):
 def test_scheme_ordering_over_power_sweep(capsys):
     cfg = ExperimentConfig(scenario="rate-vs-power", seed=0, n_drops=100)
     res = run_rate_vs_power(cfg)
-    prac = np.array([res.mean_rate(p, "practical") for p in cfg.power_sweep_dbm])
-    ideal = np.array([res.mean_rate(p, "ideal") for p in cfg.power_sweep_dbm])
-    base = np.array([res.mean_rate(p, "no_irs") for p in cfg.power_sweep_dbm])
+    prac, ideal, base = res.rates.mean(axis=-1).T
     ok = (np.all(prac > ideal) and np.all(ideal > base)
           and np.all(np.diff(prac) >= 0.0)
           and np.all(np.diff(ideal) >= 0.0)
@@ -218,8 +216,8 @@ def test_wider_band_smaller_irs_gain(capsys):
 
     narrow = sweep(100e6, 16)
     wide = sweep(200e6, 32)
-    gain_n = narrow.per_drop[(p_dbm, "practical")] - narrow.per_drop[(p_dbm, "no_irs")]
-    gain_w = wide.per_drop[(p_dbm, "practical")] - wide.per_drop[(p_dbm, "no_irs")]
+    gain_n = narrow.rates[0, 0] - narrow.rates[0, 2]  # practical - no_irs
+    gain_w = wide.rates[0, 0] - wide.rates[0, 2]
     # both configs replay the same tap draws per drop, so the comparison pairs
     diff = gain_n - gain_w
     se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
@@ -233,7 +231,7 @@ def test_wider_band_smaller_irs_gain(capsys):
 def test_rate_grows_with_element_count(capsys):
     cfg = ExperimentConfig(scenario="rate-vs-elements", seed=0, n_drops=100)
     res = run_rate_vs_elements(cfg)
-    means = np.array([res.mean_rate(n, "practical") for n in cfg.element_sweep])
+    means = res.rates[:, 0].mean(axis=-1)  # practical
     ok = bool(np.all(np.diff(means) > 0.0))
     _line(capsys, 8, "mean rate strictly grows with elements", ok,
           "N=%s -> %s bit/s/Hz" % (list(cfg.element_sweep), np.round(means, 3).tolist()))

@@ -78,6 +78,19 @@ class TestGeometry:
                                    rtol=1e-15)
         assert ap_user_distance(1e308, 1e308, np.pi) == np.inf
 
+    def test_rounding_never_goes_below_the_side_difference(self):
+        # a^2 + b^2 - 2ab rounds to 0 here, though the user is 1 m from the AP
+        assert ap_user_distance(1e8, 1e8 - 1, 0.0) == 1.0
+        rng = np.random.default_rng(5)
+        for a, b, angle in zip(rng.uniform(1.0, 1e9, 200), rng.uniform(1.0, 1e9, 200),
+                               rng.uniform(-1e-3, 1e-3, 200)):
+            assert ap_user_distance(a, b, angle) >= abs(a - b)
+
+    def test_far_geometry_one_meter_apart_draws_channels(self):
+        system = SystemConfig(n_elements=2, n_subcarriers=2, d_ap_irs=1e8, d_irs_user=1e8 - 1)
+        ch = generate_channels(system, 0.0, 0)
+        assert np.all(np.isfinite(ch.h_direct))
+
 
 SMALL = SystemConfig(n_elements=2, n_subcarriers=4)
 

@@ -24,6 +24,9 @@ from irsofdm.experiments import run_rate_vs_power
 # a numpy warning that reaches the run's stderr fails the test that caused it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+# a 1,000-deep flow mapping: beyond the parser's recursion, and quick to reach it
+DEEP_NESTING = "system: " + "{a: " * 1000 + "1" + "}" * 1000 + "\n"
+
 TINY = """
 scenario: rate-vs-power
 seed: 3
@@ -131,7 +134,7 @@ class TestValidateConfig:
         # a repeated key, which would silently keep the last value
         "n_drops: 2\nn_drops: 5\nsystem: {n_elements: 4}\nsystem: {n_subcarriers: 8}\n",
         # nesting beyond the parser's recursion, and an integer beyond Python's digit limit
-        pytest.param("power_sweep_dbm: " + "[" * 5000 + "]" * 5000 + "\n", id="deep-nesting"),
+        pytest.param(DEEP_NESTING, id="deep-nesting"),
         pytest.param("seed: " + "1" * 4400 + "\n", id="4400-digit-integer"),
         "output_csv: !!binary aGVsbG8=\n",
         # a section that is a falsy scalar or an empty list, not a mapping
@@ -145,6 +148,10 @@ class TestValidateConfig:
         # --drops 1 keeps a wrongly accepted config short, but would mend an n_drops fault
         drops = [] if "n_drops" in text else ["--drops", "1"]
         assert main(["run", path, *drops]) == 2
+
+    def test_deep_nesting_error_names_the_recursion(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot parse .*recursion"):
+            load_config(write(tmp_path, DEEP_NESTING))
 
 
 class TestRun:
@@ -371,15 +378,24 @@ class TestRun:
 
 
 RATES = r"practical \d+\.\d{4}, ideal \d+\.\d{4}, no_irs \d+\.\d{4} bit/s/Hz"
+GAP = (r"-?\d+\.\d{4} \+- \d+\.\d{4} bit/s/Hz \(paired mean \+- standard error\), "
+       r"below 0 in [012] of 2 drops")
+ONE_DROP_GAP = r"-?\d+\.\d{4} bit/s/Hz \(one drop: no standard error\), below 0 in [01] of 1 drops"
 PHASE_ERRORS = r"max phase error \d+\.\d{4} rad, max amplitude error \d+\.\d{4}"
+
+
+def with_gaps(point, gap=GAP):
+    """A sweep point's summary line and the two paired-gap lines that follow it."""
+    return [point, rf"  practical - ideal: {gap}", rf"  ideal - no_irs: {gap}"]
 
 
 @pytest.mark.parametrize("scenario, extra, lines", [
     ("model-validation", "validation: {n_points: 3, target_phases_deg: [0, -60]}\n",
      [rf"target \+0\.0 deg: {PHASE_ERRORS}", rf"target -60\.0 deg: {PHASE_ERRORS}"]),
-    ("rate-vs-power", "", [rf"power_dbm = 0\.0: {RATES}", rf"power_dbm = 10\.0: {RATES}"]),
+    ("rate-vs-power", "",
+     with_gaps(rf"power_dbm = 0\.0: {RATES}") + with_gaps(rf"power_dbm = 10\.0: {RATES}")),
     ("rate-vs-elements", "element_sweep: [0, 2]\n",
-     [rf"n_elements = 0: {RATES}", rf"n_elements = 2: {RATES}"]),
+     with_gaps(rf"n_elements = 0: {RATES}") + with_gaps(rf"n_elements = 2: {RATES}")),
     ("convergence-trace", "",
      [r"final rate \d+\.\d{6} bit/s/Hz after \d+ sweeps \(converged: (True|False)\)"]),
 ])
@@ -387,6 +403,18 @@ def test_every_scenario_prints_its_summary(tmp_path, capsys, scenario, extra, li
     cfg = write(tmp_path, TINY + extra)
     assert main(["run", cfg, "--scenario", scenario, "--out", str(tmp_path / "out.csv")]) == 0
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(lines)
+    for line, pattern in zip(err, lines):
+        assert re.fullmatch(pattern, line), line
+
+
+def test_one_drop_summary_has_no_standard_error(tmp_path, capsys):
+    # and no RuntimeWarning: this module turns one into an error
+    assert main(["run", write(tmp_path, TINY), "--drops", "1",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    lines = (with_gaps(rf"power_dbm = 0\.0: {RATES}", ONE_DROP_GAP)
+             + with_gaps(rf"power_dbm = 10\.0: {RATES}", ONE_DROP_GAP))
     assert len(err) == len(lines)
     for line, pattern in zip(err, lines):
         assert re.fullmatch(pattern, line), line

@@ -18,6 +18,7 @@ from irsofdm.circuit import (
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
     SCHEMES,
+    RateSweepResult,
     _water_filled_rate,
     drop_channel,
     run_convergence_trace,
@@ -146,35 +147,71 @@ class TestRateVsPower:
         # adding a sweep point must not change the drops seen at existing ones
         short = run_rate_vs_power(tiny_config(power_sweep_dbm=(10.0,)))
         long = run_rate_vs_power(tiny_config(power_sweep_dbm=(10.0, 20.0)))
-        np.testing.assert_array_equal(short.per_drop[(10.0, "practical")],
-                                      long.per_drop[(10.0, "practical")])
+        np.testing.assert_array_equal(short.rates[0], long.rates[0])
 
     def test_seed_changes_results(self):
         a = run_rate_vs_power(tiny_config())
         b = run_rate_vs_power(tiny_config(seed=4))
-        assert not np.array_equal(a.per_drop[(0.0, "practical")],
-                                  b.per_drop[(0.0, "practical")])
+        assert not np.array_equal(a.rates[0, 0], b.rates[0, 0])
 
     def test_more_power_never_hurts_any_scheme_per_drop(self):
-        result = run_rate_vs_power(tiny_config())
-        for scheme in SCHEMES:
-            low = result.per_drop[(0.0, scheme)]
-            high = result.per_drop[(10.0, scheme)]
-            assert np.all(high >= low - 1e-9)
+        low, high = run_rate_vs_power(tiny_config()).rates  # 0 and 10 dBm
+        assert np.all(high >= low - 1e-9)
+
+
+def hand_made(rates):
+    """A power-sweep result holding the (points x schemes x drops) array `rates`."""
+    return RateSweepResult("power_dbm", (0.0, 10.0)[:len(rates)], 7, np.asarray(rates, float),
+                           0, OptimizerSettings())
+
+
+class TestRateSweepResult:
+    def test_summary_pairs_the_schemes_over_the_drops(self):
+        # practical - ideal: 0.5, -0.5, 1, 1; ideal - no_irs: 0.5, 2.5, 2, 3
+        result = hand_made([[[1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]]])
+        assert list(result.summary()) == [
+            "power_dbm = 0.0: practical 2.5000, ideal 2.0000, no_irs 0.0000 bit/s/Hz",
+            # standard errors sqrt(0.5 / 4) and sqrt(3.5 / 3 / 4)
+            "  practical - ideal: 0.5000 +- 0.3536 bit/s/Hz (paired mean +- standard error), "
+            "below 0 in 1 of 4 drops",
+            "  ideal - no_irs: 2.0000 +- 0.5401 bit/s/Hz (paired mean +- standard error), "
+            "below 0 in 0 of 4 drops",
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_drop_has_no_spread(self):
+        result = hand_made([[[2.0], [3.0], [1.0]], [[4.0], [4.0], [1.0]]])
+        assert [row[3:6] for row in result.rows()] == [
+            (2.0, 0.0, 1), (3.0, 0.0, 1), (1.0, 0.0, 1),
+            (4.0, 0.0, 1), (4.0, 0.0, 1), (1.0, 0.0, 1)]
+        lines = list(result.summary())
+        assert lines[1] == ("  practical - ideal: -1.0000 bit/s/Hz (one drop: no standard error), "
+                            "below 0 in 1 of 1 drops")
+        assert lines[4] == ("  practical - ideal: 0.0000 bit/s/Hz (one drop: no standard error), "
+                            "below 0 in 0 of 1 drops")
+
+    @pytest.mark.parametrize("n_drops", [1, 2, 3, 7, 8, 9, 100, 127, 128, 129, 1000, 4099])
+    def test_rows_equal_the_statistics_of_each_drop_vector(self, n_drops):
+        # the reductions over the last axis are bit for bit those of each 1-D drop vector
+        rng = np.random.default_rng(n_drops)
+        rates = rng.lognormal(1.0, 2.0, size=(2, len(SCHEMES), n_drops))
+        rows = list(hand_made(rates).rows())
+        for row, vector in zip(rows, rates.reshape(-1, n_drops)):
+            std = float(np.std(vector, ddof=1)) if n_drops > 1 else 0.0
+            assert row[3:6] == (float(np.mean(vector)), std, n_drops)
 
 
 class TestRateVsElements:
     def test_empty_surface_equals_direct_link(self):
         cfg = tiny_config(scenario="rate-vs-elements", element_sweep=(0, 2))
         result = run_rate_vs_elements(cfg)
-        np.testing.assert_allclose(result.per_drop[(0, "practical")],
-                                   result.per_drop[(0, "no_irs")], rtol=1e-12)
+        practical, _, no_irs = result.rates[0]
+        np.testing.assert_allclose(practical, no_irs, rtol=1e-12)
 
     def test_direct_scheme_independent_of_element_count(self):
         cfg = tiny_config(scenario="rate-vs-elements", element_sweep=(2, 4))
         result = run_rate_vs_elements(cfg)
-        np.testing.assert_allclose(result.per_drop[(2, "no_irs")],
-                                   result.per_drop[(4, "no_irs")], rtol=1e-12)
+        np.testing.assert_allclose(result.rates[0, 2], result.rates[1, 2], rtol=1e-12)
 
     def test_element_slices_nest(self):
         # the 2-element surface is the first two rows of the 4-element one
@@ -183,17 +220,15 @@ class TestRateVsElements:
         sub = drop_channel(dataclasses.replace(TINY_SYSTEM, n_elements=4), 3, 0)
         assert np.array_equal(full.h_irs_user[:2], sub.h_irs_user[:2])
         result = run_rate_vs_elements(cfg)
-        assert set(result.per_drop) == {(4, s) for s in SCHEMES}
+        assert result.rates.shape == (1, len(SCHEMES), 2)
 
 
 class TestSharedDropLoop:
     def test_sweeps_agree_where_their_points_coincide(self):
         # N = 4 at the configured 1 W budget (30 dBm) is a point of both sweeps
         cfg = tiny_config(power_sweep_dbm=(30.0,), element_sweep=(4,))
-        by_power = run_rate_vs_power(cfg).per_drop
-        by_elements = run_rate_vs_elements(cfg).per_drop
-        for s in SCHEMES:
-            np.testing.assert_array_equal(by_power[(30.0, s)], by_elements[(4, s)])
+        np.testing.assert_array_equal(run_rate_vs_power(cfg).rates,
+                                      run_rate_vs_elements(cfg).rates)
 
     @pytest.mark.parametrize("run", [run_rate_vs_power, run_rate_vs_elements])
     def test_systems_are_built_per_run_not_per_drop(self, monkeypatch, run):
@@ -274,9 +309,8 @@ def test_fixed_seed_gives_identical_runs(seed):
     cfg = ExperimentConfig(scenario="rate-vs-power", seed=seed, n_drops=2,
                            power_sweep_dbm=(0.0,), system=SystemConfig(n_elements=2, n_subcarriers=2))
     a, b = run_rate_vs_power(cfg), run_rate_vs_power(cfg)
-    assert a.per_drop.keys() == b.per_drop.keys()
-    for key, rates in a.per_drop.items():
-        assert np.array_equal(rates, b.per_drop[key])
+    assert a.rates.shape == (1, len(SCHEMES), 2)
+    assert np.array_equal(a.rates, b.rates)
 
 
 class TestConvergenceTrace:

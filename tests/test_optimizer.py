@@ -327,20 +327,22 @@ class TestIdealDesign:
         # the ideal scheme's rate is that of its indices on the practical table
         ch, cfg = tiny_channel(6, 6, 29)
         practical, ideal = design_tables(MODEL, CB, ch.frequencies)
-        rates, _ = simulate_drop_rates(ch, CB, (practical, ideal), cfg, OptimizerSettings())
+        (_, r_ideal, _), _ = simulate_drop_rates(ch, CB, (practical, ideal), cfg,
+                                                 OptimizerSettings())
         indices, _, _, _ = alternating_optimize(ch, CB, ideal, cfg)
         g = combined_gains(ch.h_direct, ch.cascade, practical[indices])
         gains = np.abs(g) ** 2
         alloc = water_filling(gains, cfg.noise_variance, cfg.max_power)
-        np.testing.assert_allclose(rates["ideal"], mean_rate(alloc.p, gains, cfg.noise_variance),
+        np.testing.assert_allclose(r_ideal, mean_rate(alloc.p, gains, cfg.noise_variance),
                                    rtol=1e-12)
 
     def test_practical_design_wins_on_seeded_drops(self):
         for angle, seed in [(0.6, 2024), (1.9, 77), (4.4, 13)]:
             ch, cfg = tiny_channel(8, 8, seed, angle)
             tables = design_tables(MODEL, CB, ch.frequencies)
-            rates, _ = simulate_drop_rates(ch, CB, tables, cfg, OptimizerSettings())
-            assert rates["practical"] >= rates["ideal"] - 1e-12
+            (r_practical, r_ideal, _), _ = simulate_drop_rates(ch, CB, tables, cfg,
+                                                               OptimizerSettings())
+            assert r_practical >= r_ideal - 1e-12
 
 
 class TestExhaustiveSearch:

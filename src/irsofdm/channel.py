@@ -125,39 +125,28 @@ class ChannelRealization:
         return np.conj(self.h_irs_user) * self.g_ap_irs
 
 
-def _taps_to_freq(taps, delta_f, bandwidth):
-    # taps: (..., L); response: (..., K)
-    n_taps = taps.shape[-1]
-    lags = np.arange(n_taps) / bandwidth
-    steering = np.exp(-2j * np.pi * np.outer(lags, delta_f))  # (L, K)
-    return taps @ steering
-
-
-def _complex_taps(rng, shape, mean_power):
-    w = rng.standard_normal(shape + (2,))
-    return np.sqrt(mean_power / 2.0) * (w[..., 0] + 1j * w[..., 1])
-
-
 def generate_channels(config, user_angle, seed):
     """Draw one channel realization, deterministic in (config, angle, seed).
 
-    Taps are drawn in a fixed order (direct, surface-user, AP-surface) so a
-    given seed always maps to the same realization.
+    One `standard_normal` call draws the taps of all 1 + 2N link rows in a
+    fixed order (direct, surface-user, AP-surface).  The links keep separate
+    scalar path-loss calls and products with the one (L, K) steering matrix:
+    an array call or a stacked product rounds some values apart.
     """
     rng = np.random.default_rng(seed)
     n, k, taps = config.n_elements, config.n_subcarriers, config.n_taps
     freqs = subcarrier_frequencies(config.center_frequency, config.bandwidth, k)
-    delta_f = freqs - config.center_frequency
-
+    lags = np.arange(taps) / config.bandwidth
+    steering = np.exp(-2j * np.pi * np.outer(lags, freqs - config.center_frequency))  # (L, K)
     d_au = ap_user_distance(config.d_ap_irs, config.d_irs_user, user_angle)
-    gain_au = path_loss_gain(d_au, config.exponent_ap_user, config.ref_attenuation_db)
-    gain_iu = path_loss_gain(config.d_irs_user, config.exponent_irs_user, config.ref_attenuation_db)
-    gain_ai = path_loss_gain(config.d_ap_irs, config.exponent_ap_irs, config.ref_attenuation_db)
-
-    h_direct = _taps_to_freq(_complex_taps(rng, (taps,), gain_au / taps), delta_f, config.bandwidth)
-    h_irs_user = _taps_to_freq(_complex_taps(rng, (n, taps), gain_iu / taps), delta_f, config.bandwidth)
-    g_ap_irs = _taps_to_freq(_complex_taps(rng, (n, taps), gain_ai / taps), delta_f, config.bandwidth)
-    return ChannelRealization(freqs, h_direct, h_irs_user, g_ap_irs, float(user_angle))
+    gains = [path_loss_gain(d, e, config.ref_attenuation_db) for d, e in [
+        (d_au, config.exponent_ap_user), (config.d_irs_user, config.exponent_irs_user),
+        (config.d_ap_irs, config.exponent_ap_irs)]]
+    w = rng.standard_normal((1 + 2 * n, taps, 2))
+    rows = np.sqrt(np.repeat(gains, [1, n, n]) / taps / 2.0)[:, None] * (w[..., 0] + 1j * w[..., 1])
+    # three products: one (1 + 2N, L) @ (L, K) product moves the last bits of h_direct
+    return ChannelRealization(freqs, rows[0] @ steering, rows[1:n + 1] @ steering,
+                              rows[n + 1:] @ steering, float(user_angle))
 
 
 def take_elements(channel, n_elements):
@@ -167,6 +156,5 @@ def take_elements(channel, n_elements):
     """
     if not 0 <= n_elements <= channel.n_elements:
         raise ValueError("cannot take more elements than were generated")
-    return ChannelRealization(channel.frequencies, channel.h_direct,
-                              channel.h_irs_user[:n_elements],
-                              channel.g_ap_irs[:n_elements], channel.user_angle)
+    return dataclasses.replace(channel, h_irs_user=channel.h_irs_user[:n_elements],
+                               g_ap_irs=channel.g_ap_irs[:n_elements])

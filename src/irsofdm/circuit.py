@@ -129,23 +129,29 @@ def solve_capacitance(params, target_phase, f_c):
 
     w = 2.0 * np.pi * f_c
     n0, n1, d0, d1 = _coefficients(params, w)
-    x_min, x_max = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
+
+    def roots_of(c):  # a quadratic with a non-finite coefficient offers none
+        return np.roots(c) if np.isfinite(c).all() else np.empty(0)
 
     def caps_of(roots):  # capacitances of the real roots in range, clipped against rounding
         x = roots[np.isreal(roots)].real
         x = x[(x_min <= x) & (x <= x_max)]
         return np.clip(1.0 / (w * (w * params.l2 - x)), params.c_min, params.c_max)
 
-    p = np.exp(-1j * target_phase) * np.array(
-        [n1 * np.conj(d1), n1 * np.conj(d0) + n0 * np.conj(d1), n0 * np.conj(d0)])
-    roots = np.roots(p.imag)
-    caps = caps_of(roots[np.polyval(p, roots.real).real > 0.0])
-    hit = caps.size > 0
-    if not hit:
-        an, ad = n1 * np.conj(n0), d1 * np.conj(d0)
-        turns = np.roots(an.imag * np.array([abs(d1) ** 2, 2.0 * ad.real, abs(d0) ** 2])
-                         - ad.imag * np.array([abs(n1) ** 2, 2.0 * an.real, abs(n0) ** 2]))
-        caps = np.concatenate([[params.c_min, params.c_max], caps_of(turns)])
+    with np.errstate(all="ignore"):  # overflow leaves no roots, so the range ends are tried
+        x_min, x_max = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
+        p = np.exp(-1j * target_phase) * np.array(
+            [n1 * np.conj(d1), n1 * np.conj(d0) + n0 * np.conj(d1), n0 * np.conj(d0)])
+        roots = roots_of(p.imag)
+        caps = caps_of(roots[np.polyval(p, roots.real).real > 0.0])
+        hit = caps.size > 0
+        if not hit:
+            an, ad = n1 * np.conj(n0), d1 * np.conj(d0)
+            # |D|^2 and |N|^2 in X; a numpy square overflows to inf, not OverflowError
+            dd = np.array([np.float64(abs(d1)) ** 2, 2.0 * ad.real, np.float64(abs(d0)) ** 2])
+            nn = np.array([np.float64(abs(n1)) ** 2, 2.0 * an.real, np.float64(abs(n0)) ** 2])
+            turns = roots_of(an.imag * dd - ad.imag * nn)
+            caps = np.concatenate([[params.c_min, params.c_max], caps_of(turns)])
     amp, phase = sweep_reflection(params, caps, f_c)
     dist = np.abs(wrap_phase(phase - target_phase))
     i = int(np.argmax(amp) if hit else np.argmin(dist))

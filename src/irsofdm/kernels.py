@@ -89,7 +89,7 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
     phi_table = np.ascontiguousarray(phi_table, dtype=np.complex128)
     p = np.ascontiguousarray(p, dtype=np.float64)
-    indices = np.array(init_indices, dtype=np.int64).copy()
+    indices = np.array(init_indices, dtype=np.int64)
     sigma2 = float(noise_variance)
 
     n_el, n_sc = v.shape

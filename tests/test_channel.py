@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irsofdm.channel import (
     SystemConfig,
@@ -150,6 +152,41 @@ class TestGenerateChannels:
         np.testing.assert_allclose(acc_d / n_seeds, g_au, rtol=0.05)
         np.testing.assert_allclose(acc_iu / n_seeds, g_iu, rtol=0.05)
         np.testing.assert_allclose(acc_ai / n_seeds, g_ai, rtol=0.05)
+
+
+def reference_channels(config, user_angle, seed):
+    """The draw link by link: three draws, three scalings and three products
+    with the steering matrix, in the order direct, surface-user, AP-surface."""
+    rng = np.random.default_rng(seed)
+    n, taps = config.n_elements, config.n_taps
+    freqs = subcarrier_frequencies(config.center_frequency, config.bandwidth,
+                                   config.n_subcarriers)
+    steering = np.exp(-2j * np.pi * np.outer(np.arange(taps) / config.bandwidth,
+                                             freqs - config.center_frequency))
+    d_au = ap_user_distance(config.d_ap_irs, config.d_irs_user, user_angle)
+    links = [((), d_au, config.exponent_ap_user),
+             ((n,), config.d_irs_user, config.exponent_irs_user),
+             ((n,), config.d_ap_irs, config.exponent_ap_irs)]
+    responses = []
+    for shape, distance, exponent in links:
+        gain = path_loss_gain(distance, exponent, config.ref_attenuation_db)
+        w = rng.standard_normal(shape + (taps, 2))
+        responses.append((np.sqrt(gain / taps / 2.0) * (w[..., 0] + 1j * w[..., 1])) @ steering)
+    return freqs, *responses
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(n=0, k=5, taps=3, seed=1, angle=0.5)
+@example(n=7, k=4, taps=1, seed=2, angle=-2.0)
+@given(n=st.integers(0, 40), k=st.integers(1, 32), taps=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), angle=st.floats(-np.pi, np.pi))
+def test_draw_is_bit_equal_to_the_link_by_link_reference(n, k, taps, seed, angle):
+    config = SystemConfig(n_elements=n, n_subcarriers=k, n_taps=taps)
+    ch = generate_channels(config, angle, seed)
+    got = (ch.frequencies, ch.h_direct, ch.h_irs_user, ch.g_ap_irs)
+    for a, b in zip(got, reference_channels(config, angle, seed)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestTakeElements:

@@ -259,6 +259,20 @@ class TestRun:
         assert capsys.readouterr().err == ("numerical failure: reflection is non-finite "
                                            "at f = 5e+305 Hz\n")
 
+    @pytest.mark.parametrize("section", [
+        "circuit: {l1_h: 1.0e100}", "circuit: {l1_h: 1.0e300}", "circuit: {r_ohm: 1.0e100}",
+        "circuit: {r_ohm: 1.0e300}", "circuit: {z0_ohm: 1.0e150}", "circuit: {z0_ohm: 1.0e300}",
+        "system: {center_frequency_hz: 1.0e300}", "system: {center_frequency_hz: 1.0e-300}",
+    ])
+    def test_overflowing_capacitance_solve_is_numerical_failure(self, tmp_path, capsys, section):
+        # the solve's quadratics overflow: no roots, so the range ends miss the target
+        # or the circuit is singular there
+        cfg = write(tmp_path, f"scenario: model-validation\n{section}\n")
+        assert main(["validate-config", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "val.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("failed: " in err or "numerical failure: " in err)
+
     def test_lossless_circuit_validates(self, tmp_path):
         # the zero-phase target puts a lossless element exactly at resonance, where phi = 1
         cfg = write(tmp_path, "scenario: model-validation\ncircuit: {r_ohm: 0.0}\n")
@@ -505,6 +519,7 @@ def _finite_numbers(path):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example({"n_drops": 1, "system": {"ref_attenuation_db": -3000, "n_elements": 2,
                                    "n_subcarriers": 2}})
+@example({"scenario": "model-validation", "circuit": {"l1_h": 1.0e300}})
 @given(config_dicts())
 def test_no_config_escapes_the_exit_codes(raw):
     with tempfile.TemporaryDirectory() as folder:

@@ -11,7 +11,6 @@ reflect beamforming via coordinate descent.
 from .circuit import (
     CircuitParams,
     SingularCircuitError,
-    UnreachablePhaseError,
     wrap_phase,
     reflection,
     solve_capacitance,

@@ -25,19 +25,6 @@ class SingularCircuitError(ArithmeticError):
     """Reflection evaluation produced a non-finite value."""
 
 
-class UnreachablePhaseError(ValueError):
-    """No capacitance in range realizes the target phase within tolerance.
-
-    Carries the best capacitance found and its wrapped phase distance so the
-    caller can decide whether the miss is acceptable.
-    """
-
-    def __init__(self, message, best_capacitance, achieved_distance):
-        super().__init__(message)
-        self.best_capacitance = best_capacitance
-        self.achieved_distance = achieved_distance
-
-
 def wrap_phase(x):
     """Wrap angles to the half-open interval [-pi, pi)."""
     return (np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi
@@ -103,25 +90,37 @@ def sweep_reflection(params, c, f_grid):
     return np.abs(phi), wrap_phase(np.angle(phi))
 
 
-# the largest wrapped phase miss (radians) solve_capacitance returns instead of raising
-_PHASE_TOL = np.deg2rad(1.0)
+# the largest wrapped phase miss (radians) at which a target phase counts as reached
+PHASE_TOL = np.deg2rad(1.0)
+
+
+def _real_roots(a, b, c):
+    """The two roots of a x^2 + b x + c, each coefficient of shape (..., 1),
+    as (..., 2), NaN where they are not real.  The stable form
+    q = -(b + sign(b) sqrt(disc)) / 2 gives roots q / a and c / q, so at a = 0
+    the second is the linear root -c / b."""
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return np.concatenate([q / a, c / q], axis=-1)
 
 
 def solve_capacitance(params, target_phase, f_c):
-    """Find the capacitance whose reflection phase at `f_c` hits `target_phase`.
+    """The capacitance whose reflection phase at `f_c` is nearest each target.
 
     The series reactance X = wL2 - 1/(wC) rises with C, and the reflection is
     N / D with N = n0 + n1 X and D = d0 + d1 X.  The hits are the real roots X
-    of Im(exp(-j target) N conj(D)) = 0 with a positive real part; of two in
-    the range, the one of larger amplitude wins.  With none, the range end or
-    phase turning point (a root of Im(N' conj N) |D|^2 - Im(D' conj D) |N|^2)
-    nearest in phase is taken; it is returned if it misses by at most 1 degree.
+    in range of Im(exp(-j target) N conj(D)) = 0 whose phase is the target's,
+    not its opposite; of two, the one of larger amplitude wins.  With none, the
+    range end or phase turning point (a root of Im(N' conj N) |D|^2 -
+    Im(D' conj D) |N|^2) nearest in phase is taken.  A candidate whose
+    reflection is not finite is dropped.
 
-    Returns (capacitance, achieved_distance) with the distance in radians, or
-    raises UnreachablePhaseError carrying both.
+    `target_phase` (radians, in [-pi, pi)) may be an array.  Returns
+    (capacitance, miss) arrays of its shape, the miss being the wrapped phase
+    distance in radians; a target is reached if its miss is at most PHASE_TOL.
+    Raises SingularCircuitError if a target has no finite candidate.
     """
-    target_phase = float(target_phase)
-    if not (-np.pi <= target_phase < np.pi):
+    target = np.asarray(target_phase, dtype=float)
+    if not np.all((-np.pi <= target) & (target < np.pi)):
         raise ValueError("target phase must lie in [-pi, pi)")
     f_c = float(f_c)
     if f_c <= 0.0:
@@ -129,37 +128,33 @@ def solve_capacitance(params, target_phase, f_c):
 
     w = 2.0 * np.pi * f_c
     n0, n1, d0, d1 = _coefficients(params, w)
-
-    def roots_of(c):  # a quadratic with a non-finite coefficient offers none
-        return np.roots(c) if np.isfinite(c).all() else np.empty(0)
-
-    def caps_of(roots):  # capacitances of the real roots in range, clipped against rounding
-        x = roots[np.isreal(roots)].real
-        x = x[(x_min <= x) & (x <= x_max)]
-        return np.clip(1.0 / (w * (w * params.l2 - x)), params.c_min, params.c_max)
-
-    with np.errstate(all="ignore"):  # overflow leaves no roots, so the range ends are tried
-        x_min, x_max = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
-        p = np.exp(-1j * target_phase) * np.array(
-            [n1 * np.conj(d1), n1 * np.conj(d0) + n0 * np.conj(d1), n0 * np.conj(d0)])
-        roots = roots_of(p.imag)
-        caps = caps_of(roots[np.polyval(p, roots.real).real > 0.0])
-        hit = caps.size > 0
-        if not hit:
-            an, ad = n1 * np.conj(n0), d1 * np.conj(d0)
-            # |D|^2 and |N|^2 in X; a numpy square overflows to inf, not OverflowError
-            dd = np.array([np.float64(abs(d1)) ** 2, 2.0 * ad.real, np.float64(abs(d0)) ** 2])
-            nn = np.array([np.float64(abs(n1)) ** 2, 2.0 * an.real, np.float64(abs(n0)) ** 2])
-            turns = roots_of(an.imag * dd - ad.imag * nn)
-            caps = np.concatenate([[params.c_min, params.c_max], caps_of(turns)])
-    amp, phase = sweep_reflection(params, caps, f_c)
-    dist = np.abs(wrap_phase(phase - target_phase))
-    i = int(np.argmax(amp) if hit else np.argmin(dist))
-    best_c, best_d = float(caps[i]), float(dist[i])
-
-    if best_d > _PHASE_TOL:
-        raise UnreachablePhaseError(
-            f"target phase {target_phase:.6f} rad unreachable at f = {f_c:.4g} Hz; "
-            f"best C = {best_c:.6g} F misses by {np.rad2deg(best_d):.3f} deg",
-            best_capacitance=best_c, achieved_distance=best_d)
-    return best_c, best_d
+    # an array even for one target: numpy's scalar arithmetic rounds differently from its
+    # array loops, and a target must get the same bits alone as in a batch
+    t = np.atleast_1d(target)[..., None]
+    with np.errstate(all="ignore"):  # overflow gives non-finite candidates, which are dropped
+        ends = w * params.l2 - 1.0 / (w * np.array([params.c_min, params.c_max]))
+        an, ad = n1 * np.conj(n0), d1 * np.conj(d0)
+        # |D|^2 and |N|^2 in X; np.abs overflows to inf where Python's abs raises
+        dd = np.array([np.abs(d1) ** 2, 2.0 * ad.real, np.abs(d0) ** 2])
+        nn = np.array([np.abs(n1) ** 2, 2.0 * an.real, np.abs(n0) ** 2])
+        turns = _real_roots(*(an.imag * dd - ad.imag * nn)[:, None])
+        rot = np.exp(-1j * t)
+        hits = _real_roots(*(np.imag(rot * p) for p in (
+            n1 * np.conj(d1), n1 * np.conj(d0) + n0 * np.conj(d1), n0 * np.conj(d0))))
+        # the candidates: two range ends, two turning points, two hits
+        x = np.concatenate([np.broadcast_to(np.concatenate([ends, turns]), t.shape[:-1] + (4,)),
+                            hits], axis=-1)
+        phi = (n0 + n1 * x) / (d0 + d1 * x)
+        amp, miss = np.abs(phi), np.abs(wrap_phase(np.angle(phi) - t))
+        is_hit = np.arange(6) >= 4  # a root at the opposite phase is no hit
+        keep = (ends[0] <= x) & (x <= ends[1]) & np.isfinite(phi) & ~(is_hit & (miss >= np.pi / 2))
+        # any hit (score -1 - amplitude) beats every other candidate (score: its miss)
+        score = np.where(keep, np.where(is_hit, -1.0 - amp, miss), np.inf)
+        i = np.argmin(score, axis=-1, keepdims=True)
+        x, score, miss = (np.take_along_axis(a, i, -1).reshape(target.shape)
+                          for a in (x, score, miss))
+        i = i.reshape(target.shape)
+        if np.any(score == np.inf):
+            raise SingularCircuitError(f"reflection is non-finite at f = {f_c!r} Hz")
+        cap = np.clip(1.0 / (w * (w * params.l2 - x)), params.c_min, params.c_max)
+    return np.select([i == 0, i == 1], [params.c_min, params.c_max], cap), miss

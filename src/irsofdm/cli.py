@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .circuit import SingularCircuitError, UnreachablePhaseError
+from .circuit import SingularCircuitError
 from .config import _TOP, SCENARIOS, ConfigError, _apply, load_config
 from .experiments import (
     run_convergence_trace,
@@ -24,8 +24,7 @@ from .experiments import (
 )
 from .optimizer import PowerAllocationError
 
-_NUMERICAL_ERRORS = (SingularCircuitError, UnreachablePhaseError,
-                     PowerAllocationError, FloatingPointError)
+_NUMERICAL_ERRORS = (SingularCircuitError, PowerAllocationError, FloatingPointError)
 
 
 def build_parser():

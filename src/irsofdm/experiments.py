@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .channel import dbm_to_watts, generate_channels, subcarrier_frequencies, take_elements
-from .circuit import UnreachablePhaseError, solve_capacitance, sweep_reflection, wrap_phase
+from .circuit import PHASE_TOL, solve_capacitance, sweep_reflection, wrap_phase
 from .kernels import combined_gains, mean_rate
 from .optimizer import OptimizerSettings, alternating_optimize, design_tables, water_filling
 from .reflection_model import codebook, curve_errors, model_response
@@ -96,24 +96,22 @@ class ModelValidationResult:
 
 
 def run_model_validation(cfg):
-    """Circuit and model responses on the (targets x frequencies) grid: each
-    target phase's capacitance is solved alone, then each side is swept once.
+    """Circuit and model responses on the (targets x frequencies) grid: the
+    capacitances of all target phases are solved at once, then each side is
+    swept once.
 
-    Target phases that no capacitance can realize are reported in the result
-    instead of aborting the sweep.
+    Target phases that no capacitance realizes within `PHASE_TOL` are
+    reported in the result instead of aborting the sweep.
     """
-    val = cfg.validation
+    val, f_c = cfg.validation, cfg.system.center_frequency
     grid = np.linspace(val.f_min, val.f_max, val.n_points)
     deg = np.asarray(val.target_phases_deg, dtype=float)
     x = wrap_phase(np.deg2rad(deg))
-    caps = np.full(deg.size, np.nan)  # stays NaN where no capacitance reaches the target
-    errors = []
-    for t in range(deg.size):
-        try:
-            caps[t], _ = solve_capacitance(cfg.circuit, x[t], cfg.system.center_frequency)
-        except UnreachablePhaseError as exc:
-            errors.append((float(deg[t]), str(exc)))
-    ok = ~np.isnan(caps)
+    caps, miss = solve_capacitance(cfg.circuit, x, f_c)
+    ok = miss <= PHASE_TOL
+    errors = [(d, f"target phase {t:.6f} rad unreachable at f = {f_c:.4g} Hz; "
+                  f"best C = {c:.6g} F misses by {np.rad2deg(m):.3f} deg")
+              for d, t, c, m in zip(*(a[~ok].tolist() for a in (deg, x, caps, miss)))]
     circuit = sweep_reflection(cfg.circuit, caps[ok, None], grid)
     return ModelValidationResult(deg[ok], grid, *circuit,
                                  *model_response(cfg.model, x[ok, None], grid), errors)

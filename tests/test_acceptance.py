@@ -48,13 +48,10 @@ def _line(capsys, idx, label, ok, detail):
 
 def _circuit_curves(params, freqs):
     """Phase/amplitude arrays of the solved circuit, one curve per target."""
-    curves = {}
-    for deg in CENTERS_DEG:
-        x = float(np.deg2rad(deg))
-        cap, _ = solve_capacitance(params, x, 2.4e9)
-        amplitude, phase = sweep_reflection(params, cap, freqs)
-        curves[x] = (phase, amplitude)
-    return curves
+    x = np.deg2rad(CENTERS_DEG)
+    caps, _ = solve_capacitance(params, x, 2.4e9)
+    amplitude, phase = sweep_reflection(params, caps[:, None], freqs)
+    return dict(zip(x.tolist(), zip(phase, amplitude)))
 
 
 def _model_errors(model, curves, freqs):

@@ -6,9 +6,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from irsofdm.circuit import (
+    PHASE_TOL,
     CircuitParams,
     SingularCircuitError,
-    UnreachablePhaseError,
     reflection,
     solve_capacitance,
     sweep_reflection,
@@ -208,12 +208,10 @@ class TestSolveCapacitance:
 
     def test_opposition_phase_unreachable(self):
         # the capacitance range stops about 10 degrees short of +-180
-        with pytest.raises(UnreachablePhaseError) as info:
-            solve_capacitance(PARAMS, -np.pi, self.F_C)
-        err = info.value
-        np.testing.assert_allclose(err.best_capacitance, PARAMS.c_max, atol=1e-14)
-        np.testing.assert_allclose(err.achieved_distance, np.deg2rad(10.0236), atol=1e-3)
-        assert "unreachable" in str(err)
+        c, miss = solve_capacitance(PARAMS, -np.pi, self.F_C)
+        assert c == PARAMS.c_max
+        np.testing.assert_allclose(miss, np.deg2rad(10.0236), atol=1e-3)
+        assert miss > PHASE_TOL
 
     def test_steep_lossy_swing_is_hit(self):
         # at r = 4 ohm the phase crosses -177 deg between two points of a 512-point scan
@@ -238,24 +236,25 @@ class TestSolveCapacitance:
         np.testing.assert_allclose(abs(phi), 0.048, atol=1e-3)
 
     @given(st.floats(-2.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-           st.floats(2.2e9, 2.6e9), st.floats(-np.pi, np.pi, exclude_max=True))
-    @example(np.log10(4.0), 0.0, 0.0, 2.4e9, np.deg2rad(-177.0))
-    def test_never_farther_than_a_dense_scan(self, log_r, log2_l1, log2_l2, f_c, target):
+           st.floats(2.2e9, 2.6e9),
+           st.lists(st.floats(-np.pi, np.pi, exclude_max=True), min_size=1, max_size=8))
+    @example(np.log10(4.0), 0.0, 0.0, 2.4e9, [np.deg2rad(-177.0)])
+    def test_never_farther_than_a_dense_scan(self, log_r, log2_l1, log2_l2, f_c, targets):
         params = CircuitParams(r=10.0 ** log_r, l1=PARAMS.l1 * 2.0 ** log2_l1,
                                l2=PARAMS.l2 * 2.0 ** log2_l2)
-        try:
-            c, dist = solve_capacitance(params, target, f_c)
-        except UnreachablePhaseError as exc:
-            c, dist = exc.best_capacitance, exc.achieved_distance
-            assert dist > np.deg2rad(1.0)
-        assert params.c_min <= c <= params.c_max
-        phi = reflection(params, c, f_c)
-        assert abs(phi) <= 1.0
-        np.testing.assert_allclose(dist, abs(wrap_phase(np.angle(phi) - target)), atol=1e-12)
+        caps, misses = solve_capacitance(params, targets, f_c)
+        assert caps.shape == misses.shape == (len(targets),)
         grid = np.concatenate([np.linspace(params.c_min, params.c_max, 20_001),
                                [params.c_min, params.c_max]])
-        scan = np.abs(wrap_phase(np.angle(reflection(params, grid, f_c)) - target))
-        assert dist <= scan.min() + 1e-9
+        scan_phase = np.angle(reflection(params, grid, f_c))
+        for target, c, miss in zip(targets, caps, misses):
+            # one target alone gives the same bits as in the batch
+            assert solve_capacitance(params, target, f_c) == (c, miss)
+            assert params.c_min <= c <= params.c_max
+            phi = reflection(params, c, f_c)
+            assert abs(phi) <= 1.0
+            np.testing.assert_allclose(miss, abs(wrap_phase(np.angle(phi) - target)), atol=1e-12)
+            assert miss <= np.abs(wrap_phase(scan_phase - target)).min() + 1e-9
 
     def test_target_outside_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -263,10 +263,15 @@ class TestRun:
         "circuit: {l1_h: 1.0e100}", "circuit: {l1_h: 1.0e300}", "circuit: {r_ohm: 1.0e100}",
         "circuit: {r_ohm: 1.0e300}", "circuit: {z0_ohm: 1.0e150}", "circuit: {z0_ohm: 1.0e300}",
         "system: {center_frequency_hz: 1.0e300}", "system: {center_frequency_hz: 1.0e-300}",
+        # finite quadratic coefficients whose root quotients overflow
+        "circuit: {l1_h: 1.0e-300, r_ohm: 1.0e300, z0_ohm: 1.0e-300}\n"
+        "system: {center_frequency_hz: 1.0e150}",
+        # |N|^2 and |D|^2 coefficients that overflow
+        "circuit: {l1_h: 1.0, r_ohm: 0.0, z0_ohm: 1.5e308}\n"
+        "system: {center_frequency_hz: 2.38732414637843e+307}",
     ])
     def test_overflowing_capacitance_solve_is_numerical_failure(self, tmp_path, capsys, section):
-        # the solve's quadratics overflow: no roots, so the range ends miss the target
-        # or the circuit is singular there
+        # the solve overflows: its finite candidates miss the target, or none is finite
         cfg = write(tmp_path, f"scenario: model-validation\n{section}\n")
         assert main(["validate-config", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "val.csv")]) == 3
@@ -282,6 +287,15 @@ class TestRun:
             amps = [float(row["circuit_amp"]) for row in csv.DictReader(fh)]
         assert len(amps) == 5 * 201
         np.testing.assert_allclose(amps, 1.0, atol=1e-12, rtol=0.0)
+
+    def test_singular_range_end_is_not_evaluated(self, tmp_path):
+        # the reflection at c_min is not finite, but every target has a hit in range
+        cfg = write(tmp_path, "scenario: model-validation\ncircuit: {c_min_f: 1.0e-320}\n")
+        out = tmp_path / "val.csv"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            targets = {row["target_phase_deg"] for row in csv.DictReader(fh)}
+        assert len(targets) == 5
 
     def test_model_validation_writes_curves(self, tmp_path, capsys):
         cfg = write(tmp_path, ("scenario: model-validation\n"

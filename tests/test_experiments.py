@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 import irsofdm.optimizer
 from irsofdm.channel import SystemConfig, dbm_to_watts, subcarrier_frequencies
-from irsofdm.circuit import (
-    CircuitParams,
-    UnreachablePhaseError,
-    solve_capacitance,
-    sweep_reflection,
-)
+from irsofdm.circuit import CircuitParams, solve_capacitance, sweep_reflection
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
     SCHEMES,
@@ -276,15 +271,10 @@ class TestCircuitTable:
         cfg = ExperimentConfig()
         system, circuit = cfg.system, cfg.circuit
         cb = codebook(cfg.codebook_bits)
-        caps = []
-        for x in cb.values:
-            try:
-                caps.append(solve_capacitance(circuit, x, system.center_frequency)[0])
-            except UnreachablePhaseError as exc:
-                caps.append(exc.best_capacitance)
+        caps, _ = solve_capacitance(circuit, cb.values, system.center_frequency)
         freqs = subcarrier_frequencies(system.center_frequency, system.bandwidth,
                                        system.n_subcarriers)
-        amp, phase = sweep_reflection(circuit, np.array(caps)[:, None], freqs)
+        amp, phase = sweep_reflection(circuit, caps[:, None], freqs)
         assert np.all(amp <= 1.0)
         table = amp * np.exp(1j * phase)
         practical, ideal = design_tables(cfg.model, cb, freqs)

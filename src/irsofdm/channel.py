@@ -95,10 +95,12 @@ class SystemConfig:
         """Mean gains of the AP-surface, surface-user and, at its shortest and
         longest distance, AP-user links; 0 or inf beyond the float range."""
         a, b = self.d_ap_irs, self.d_irs_user
-        exponents = [self.exponent_ap_irs, self.exponent_irs_user] + [self.exponent_ap_user] * 2
-        with np.errstate(all="ignore"):  # AP-user gain is monotone in distance: both ends bound it
-            return path_loss_gain([a, b, abs(a - b), a + b], np.array(exponents),
-                                  self.ref_attenuation_db)
+        links = [(a, self.exponent_ap_irs), (b, self.exponent_irs_user),
+                 (abs(a - b), self.exponent_ap_user), (a + b, self.exponent_ap_user)]
+        # the scalar calls of `generate_channels`: an array call rounds some gains apart;
+        # the AP-user gain is monotone in distance, so both ends bound it
+        with np.errstate(all="ignore"):
+            return np.array([path_loss_gain(d, e, self.ref_attenuation_db) for d, e in links])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

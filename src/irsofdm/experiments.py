@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -80,9 +81,12 @@ class ModelValidationResult:
               "model_phase_rad", "model_amp")
 
     def rows(self):
-        columns = (self.target_phase_deg[:, None], self.frequencies, self.circuit_phase,
-                   self.circuit_amplitude, self.model_phase, self.model_amplitude)
-        yield from zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))
+        """Yield one row per (target, frequency), one target's rows at a time."""
+        freqs = self.frequencies.tolist()
+        curves = (self.circuit_phase, self.circuit_amplitude, self.model_phase,
+                  self.model_amplitude)
+        for t, deg in enumerate(self.target_phase_deg.tolist()):
+            yield from zip(itertools.repeat(deg), freqs, *(c[t].tolist() for c in curves))
 
     def summary(self):
         """Lines for stderr: each curve's errors, then each unreachable target."""

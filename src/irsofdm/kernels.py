@@ -28,7 +28,11 @@ against the field it sees if the guesses before it hold:
   after it.
 A window also ends at element N, so its (window, S, K) temporaries never
 exceed the (N, S, K) table.  `SweepResult` counts the passes and the element
-rows they scored.
+rows they scored, and carries the squared gains |h_k|^2 of the returned
+indices, which the water-filling step that follows reads.
+
+The kernel checks nothing: its one caller, the alternating loop of
+`optimizer._alternate`, guarantees the inputs its docstring lists.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class SweepResult(NamedTuple):
     converged: bool           # a full sweep changed no index
     passes: int               # windows scored, one array pass each
     rows_scored: int          # element rows scored over all passes
+    gains: np.ndarray         # |h_k|^2 per subcarrier under the returned indices
 
 
 def combined_gains(h_d, v, phi):
@@ -72,11 +77,14 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
                               max_sweeps=20):
     """Run codebook coordinate-descent sweeps until no index changes.
 
+    The caller guarantees, and the kernel does not check:
     v : (N, K) complex cascade per element (conj(h_irs_user) * g_ap_irs)
     h_d : (K,) complex direct link
-    phi_table : (S, K) complex reflection of each codebook entry
-    p : (K,) nonnegative per-subcarrier powers
-    init_indices : (N,) starting codebook indices (copied, not mutated)
+    phi_table : (S, K) complex reflection of each codebook entry, S >= 1
+    p : (K,) finite per-subcarrier powers, p >= 0
+    noise_variance : sigma^2 > 0
+    init_indices : (N,) starting codebook indices in [0, S) (copied, not mutated)
+    max_sweeps : at least 1
 
     Returns a SweepResult; converged means the last sweep was a fixed point,
     which makes the returned indices coordinate-wise optimal for this p.
@@ -85,27 +93,9 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     the elements are scored in windows of up to `_WINDOW` against guessed
     fields (see the module docstring).
     """
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
-    phi_table = np.ascontiguousarray(phi_table, dtype=np.complex128)
-    p = np.ascontiguousarray(p, dtype=np.float64)
     indices = np.array(init_indices, dtype=np.int64)
-    sigma2 = float(noise_variance)
-
     n_el, n_sc = v.shape
     n_cb = phi_table.shape[0]
-    if h_d.shape != (n_sc,) or phi_table.shape[1] != n_sc or p.shape != (n_sc,):
-        raise ValueError("inconsistent subcarrier dimensions")
-    if indices.shape != (n_el,):
-        raise ValueError("init indices must have one entry per element")
-    if n_cb < 1 or np.any(indices < 0) or np.any(indices >= n_cb):
-        raise ValueError("init indices outside the codebook")
-    if np.any(p < 0.0):
-        raise ValueError("powers must be nonnegative")
-    if sigma2 <= 0.0:
-        raise ValueError("noise variance must be positive")
-    if max_sweeps < 1:
-        raise ValueError("need at least one sweep")
 
     update_rates = []
     sweep_rates = []
@@ -116,7 +106,7 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     first = np.arange(n_el) * n_cb
     guess = indices.copy()  # best entry when last scored; unscored: keep
     base = combined_gains(h_d, v, phi_table[indices])
-    for _ in range(int(max_sweeps)):
+    for _ in range(max_sweeps):
         changed = False
         i0 = 0
         while i0 < n_el:
@@ -138,7 +128,7 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
                 seen = after = base  # no guessed mover: one field for the window
             partial = seen - rows[cur_rows]
             cand = partial[:, None, :] + vphi[i0:i1]
-            rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, sigma2)
+            rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, noise_variance)
             best = rates.argmax(axis=1)  # first max, lowest index on ties
             rows_scored += i1 - i0
             wrong = best != g
@@ -158,11 +148,12 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
             i0 += m + 1
         # rebuild from scratch so incremental updates cannot drift
         base = combined_gains(h_d, v, phi_table[indices])
-        sweep_rates.append(float(mean_rate(p, base.real ** 2 + base.imag ** 2, sigma2)))
+        gains = base.real ** 2 + base.imag ** 2
+        sweep_rates.append(float(mean_rate(p, gains, noise_variance)))
         if not changed:
             converged = True
             break
     passes = len(update_rates)
     update_rates = np.concatenate(update_rates) if update_rates else np.zeros(0)
     return SweepResult(indices, update_rates, np.asarray(sweep_rates), converged,
-                       passes, rows_scored)
+                       passes, rows_scored, gains)

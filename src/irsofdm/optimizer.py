@@ -159,11 +159,9 @@ def _alternate(channel, cb, table, config, settings):
         objectives.extend(res.update_rates.tolist())
         sweeps_total += int(res.sweep_rates.size)
 
-        g = combined_gains(channel.h_direct, v, table[indices])
-        gains = g.real ** 2 + g.imag ** 2
-        alloc = water_filling(gains, config.noise_variance, config.max_power)
+        alloc = water_filling(res.gains, config.noise_variance, config.max_power)
         p = alloc.p
-        r_now = float(mean_rate(p, gains, config.noise_variance))
+        r_now = float(mean_rate(p, res.gains, config.noise_variance))
         stages.append("power")
         objectives.append(r_now)
         if r_now - r_prev < settings.eps_rate:

@@ -16,6 +16,7 @@ from irsofdm.channel import (
     subcarrier_frequencies,
     take_elements,
 )
+from irsofdm.config import ExperimentConfig
 
 
 class TestUnits:
@@ -242,3 +243,33 @@ class TestSystemConfigValidation:
 
     def test_accepts_an_ap_user_distance_of_exactly_one_metre(self):
         SystemConfig(d_ap_irs=3.0, d_irs_user=2.0)
+
+
+def config_or_none(**kw):
+    try:
+        return SystemConfig(**kw)
+    except ValueError:
+        return None
+
+
+# geometries and path-loss settings that `SystemConfig` accepts
+accepted_configs = st.builds(
+    config_or_none, d_ap_irs=st.floats(1.0, 1e12), d_irs_user=st.floats(1.0, 1e12),
+    ref_attenuation_db=st.floats(-300.0, 300.0), exponent_ap_irs=st.floats(-10.0, 10.0),
+    exponent_irs_user=st.floats(-10.0, 10.0), exponent_ap_user=st.floats(-10.0, 10.0),
+).filter(lambda cfg: cfg is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted_configs)
+@example(SystemConfig())
+@example(ExperimentConfig().system)
+def test_mean_link_gains_are_the_draws_scalar_calls(cfg):
+    # each gain is rounded as `generate_channels` rounds it; the AP-user link at
+    # its shortest and longest distance, user angles 0 and pi
+    a, b, ref = cfg.d_ap_irs, cfg.d_irs_user, cfg.ref_attenuation_db
+    want = [path_loss_gain(a, cfg.exponent_ap_irs, ref),
+            path_loss_gain(b, cfg.exponent_irs_user, ref),
+            path_loss_gain(abs(a - b), cfg.exponent_ap_user, ref),
+            path_loss_gain(a + b, cfg.exponent_ap_user, ref)]
+    assert cfg.mean_link_gains().tolist() == want

@@ -1,12 +1,17 @@
 """Scenario runners: validation curves, rate sweeps, reproducibility."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irsofdm
 import irsofdm.optimizer
 from irsofdm.channel import SystemConfig, dbm_to_watts, subcarrier_frequencies
 from irsofdm.circuit import CircuitParams, solve_capacitance, sweep_reflection
@@ -116,6 +121,29 @@ class TestModelValidation:
         lines = out.read_text().splitlines()
         assert lines[0] == "target_phase_deg,freq_hz,circuit_phase_rad,circuit_amp,model_phase_rad,model_amp"
         assert len(lines) == 1 + 2 * 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_memory_per_curve_value(self, tmp_path):
+        # the peak of two fresh runs, 4 targets at 2^12 and 2^14 grid points: rows are
+        # streamed one target at a time (about 105 B per value); converting all six
+        # broadcast columns at once took about 280 B.  VmHWM is the run's own peak, where
+        # ru_maxrss also counts the pages of the forking test process
+        code = ("import re, sys; from irsofdm.cli import main; rc = main(sys.argv[1:]); "
+                "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]); "
+                "sys.exit(rc)")
+        src = str(Path(irsofdm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        peaks = []
+        for n_points in (2 ** 12, 2 ** 14):
+            cfg = tmp_path / "validation.yaml"
+            cfg.write_text("scenario: model-validation\nvalidation:\n"
+                           f"  {{n_points: {n_points}, target_phases_deg: [0, 60, -60, 120]}}\n")
+            out = subprocess.run([sys.executable, "-c", code, "run", str(cfg), "--out", os.devnull],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                 text=True, check=True)
+            peaks.append(1024 * int(out.stdout))
+        assert (peaks[1] - peaks[0]) / (4 * (2 ** 14 - 2 ** 12)) < 160
 
 
 class TestRateVsPower:

@@ -3,12 +3,14 @@
 Text columns (labels, stages, iteration numbers, drop counts, seeds) must
 match exactly and every other value to a relative 1e-13, which lets the last
 ulp move but fails any change of a design or convergence path.  Regenerate the
-stored files with `PYTHONPATH=src python tests/test_golden.py` only together
+stored files with `PYTHONPATH=src python tests/test_golden.py [NAME ...]`,
+which rewrites the named cases (every case if none is named), only together
 with a note of which rows moved and by how much.
 """
 
 import csv
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -72,9 +74,28 @@ def test_matches_golden(name, seed, tmp_path):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
 
-if __name__ == "__main__":
+def regenerate(names):
+    """Rewrite the golden files of the named cases, of every case if none is named."""
+    names = names or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case {', '.join(unknown)}; cases: {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
-        for case in sorted(CASES):
-            for s in SEEDS:
+        for case in names:
+            for s in SEEDS[:1] if case in SEEDLESS else SEEDS:
                 shutil.copyfile(run_case(case, s, work), golden_path(case, s))
+
+
+def test_regenerate_writes_only_the_named_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path / "golden")
+    with pytest.raises(SystemExit) as exc:
+        regenerate(["model-validation", "no-such-case"])
+    assert exc.value.code == f"unknown case no-such-case; cases: {', '.join(sorted(CASES))}"
+    assert not (tmp_path / "golden").exists()
+    regenerate(["model-validation"])
+    assert [f.name for f in (tmp_path / "golden").iterdir()] == ["model-validation.csv"]
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

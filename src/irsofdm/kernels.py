@@ -13,8 +13,8 @@ first builds the (N, S, K) table of every element's contribution under every
 codebook entry, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
 element update only adds rows of it; the config loader caps N * S * K.
 
-Elements are scored up to 32 at a time, in one array pass per window, each
-against the field it sees if the guesses before it hold:
+Elements are scored in windows of w consecutive elements, one array pass per
+window, each against the field it sees if the guesses before it hold:
 - an element's guess is its best entry from the last pass that scored it; an
   element not scored yet is guessed to keep its entry;
 - the fields come from one `np.add.accumulate` over [field, -row_cur,
@@ -26,8 +26,14 @@ against the field it sees if the guesses before it hold:
   entry is applied.  The best entries of the elements after it, scored
   against a stale field, become their guesses, and the next window starts
   after it.
-A window also ends at element N, so its (window, S, K) temporaries never
-exceed the (N, S, K) table.  `SweepResult` counts the passes and the element
+Every window gives the one-element loop's result bit for bit, so w sets only
+the work.  A pass costs a fixed overhead plus a cost per candidate value
+(w * S * K of them), and a wrong guess wastes the rest of its window, so the
+best w falls as 1/sqrt(S * K): w = min(32, isqrt(2^17 // (S * K))), at least
+1.  That is 32 at S * K = 128 (3-bit codebook, K = 16) and 16 at the paper's
+S * K = 512 (K = 64).
+A window also ends at element N, so its (w, S, K) temporaries never exceed
+the (N, S, K) table.  `SweepResult` counts the passes and the element
 rows they scored, and carries the squared gains |h_k|^2 of the returned
 indices, which the water-filling step that follows reads.
 
@@ -37,12 +43,15 @@ The kernel checks nothing: its one caller, the alternating loop of
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-# elements scored per array pass (see the module docstring)
+# elements scored per array pass: at most _WINDOW, and w with
+# w^2 * S * K <= _WINDOW_VALUES (see the module docstring)
 _WINDOW = 32
+_WINDOW_VALUES = 2 ** 17
 
 
 class SweepResult(NamedTuple):
@@ -90,12 +99,15 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     which makes the returned indices coordinate-wise optimal for this p.
 
     The result is that of visiting one element at a time, in ascending order;
-    the elements are scored in windows of up to `_WINDOW` against guessed
-    fields (see the module docstring).
+    the elements are scored against guessed fields in windows of
+    w = min(`_WINDOW`, isqrt(`_WINDOW_VALUES` // (S * K))) elements, at least
+    one: 32 at S * K = 128 and 16 at S * K = 512.  The window sets only
+    `passes` and `rows_scored` (see the module docstring).
     """
     indices = np.array(init_indices, dtype=np.int64)
     n_el, n_sc = v.shape
     n_cb = phi_table.shape[0]
+    window = min(_WINDOW, max(1, isqrt(_WINDOW_VALUES // (n_cb * n_sc))))
 
     update_rates = []
     sweep_rates = []
@@ -110,7 +122,7 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
         changed = False
         i0 = 0
         while i0 < n_el:
-            i1 = min(i0 + _WINDOW, n_el)
+            i1 = min(i0 + window, n_el)
             cur, g = indices[i0:i1], guess[i0:i1]
             at = first[i0:i1]
             cur_rows = at + cur

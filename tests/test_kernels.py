@@ -1,6 +1,9 @@
 """The coordinate-descent sweep kernel and the gain/rate primitives it uses."""
 
+from math import isqrt
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,14 +28,10 @@ instances = st.builds(random_instance, st.integers(0, 2 ** 32 - 1), st.integers(
                       st.integers(1, 16), st.sampled_from([2, 4, 8]))
 
 
-@st.composite
-def tied_instances(draw):
-    """Instances up to 80 elements (several scoring windows), with duplicated
-    codebook rows and zero cascade rows, so that many candidates tie exactly;
-    plus a sweep cap."""
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    n_el, n_cb = draw(st.integers(0, 80)), draw(st.sampled_from([2, 4, 8]))
-    v, h_d, phi, p, sigma2, init = random_instance(seed, n_el, draw(st.integers(1, 16)), n_cb)
+def tie_up(draw, seed, n_el, n_sc, n_cb):
+    """A random instance, with duplicated codebook rows and zero cascade rows
+    drawn in, so that many candidates tie exactly; plus a sweep cap."""
+    v, h_d, phi, p, sigma2, init = random_instance(seed, n_el, n_sc, n_cb)
     rng = np.random.default_rng(seed + 1)
     if draw(st.booleans()):
         phi = phi[rng.integers(0, n_cb, n_cb)]  # some entries repeat, some vanish
@@ -40,6 +39,31 @@ def tied_instances(draw):
         v[rng.random(n_el) < 0.3] = 0.0  # such an element scores every entry the same
     max_sweeps = draw(st.integers(1, 3) | st.just(20))
     return v, h_d, phi, p, sigma2, init, max_sweeps
+
+
+@st.composite
+def tied_instances(draw):
+    """Tied instances up to 80 elements (several scoring windows), S * K <= 128."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_el, n_cb = draw(st.integers(0, 80)), draw(st.sampled_from([2, 4, 8]))
+    return tie_up(draw, seed, n_el, draw(st.integers(1, 16)), n_cb)
+
+
+@st.composite
+def wide_instances(draw):
+    """Tied instances with S * K from 136 to 49,152, where the window narrows
+    from 31 elements to 1; N is at most 60 and keeps the (N, S, K) table
+    within 2^20 values."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n_cb = draw(st.sampled_from([8, 16, 256]))
+    n_sc = draw(st.integers(128 // n_cb + 1, 192 if n_cb == 256 else 64))
+    n_el = draw(st.integers(0, min(60, 2 ** 20 // (n_cb * n_sc))))
+    return tie_up(draw, seed, n_el, n_sc, n_cb)
+
+
+def window(n_cb, n_sc):
+    """Elements per scoring pass of the kernel at S * K = n_cb * n_sc."""
+    return min(32, max(1, isqrt(2 ** 17 // (n_cb * n_sc))))
 
 
 def reference_sweeps(v, h_d, phi, p, sigma2, init, max_sweeps):
@@ -123,6 +147,34 @@ class TestNumpyKernel:
         assert got.converged == want.converged
         assert np.array_equal(got.gains, want.gains)
 
+    @settings(max_examples=40, deadline=None)
+    @given(wide_instances())
+    def test_bit_equal_to_one_element_loop_in_narrow_windows(self, args):
+        # S * K above 128 narrows the window below 32 elements; any window
+        # must still reproduce the plain loop exactly
+        got = coordinate_descent_sweeps(*args[:-1], max_sweeps=args[-1])
+        want = reference_sweeps(*args)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.update_rates, want.update_rates)
+        assert np.array_equal(got.sweep_rates, want.sweep_rates)
+        assert got.converged == want.converged
+        assert np.array_equal(got.gains, want.gains)
+        # a pass scores at most one window of rows
+        assert got.rows_scored <= got.passes * window(*args[2].shape)
+
+    @pytest.mark.parametrize("n_cb, n_sc, width", [(8, 16, 32), (8, 17, 31), (16, 32, 16),
+                                                   (8, 64, 16), (256, 128, 2), (256, 129, 1)])
+    def test_window_narrows_as_rows_widen(self, n_cb, n_sc, width):
+        # a zero cascade keeps every element on entry 0, so every guess holds
+        # and each pass accepts a whole window
+        n_el = 40
+        res = coordinate_descent_sweeps(np.zeros((n_el, n_sc), dtype=complex),
+                                        np.ones(n_sc, dtype=complex),
+                                        np.ones((n_cb, n_sc), dtype=complex), np.ones(n_sc), 1.0,
+                                        np.zeros(n_el, dtype=np.int64), max_sweeps=1)
+        assert width == window(n_cb, n_sc)
+        assert (res.passes, res.rows_scored) == (-(-n_el // width), n_el)
+
     def test_stale_guesses_are_rescored(self):
         # element 0 outweighs the other 39 together and is the only one off its
         # fixed-point entry.  The first window scores elements 1..31 against the
@@ -145,6 +197,28 @@ class TestNumpyKernel:
         # sweep 1 scores windows 0..31 (element 0 moves), 1..32 (element 1's
         # guess is wrong), 2..33 and 34..39; sweep 2 scores 0..31 and 32..39
         assert (got.passes, got.rows_scored) == (6, 142)
+
+    def test_stale_guesses_are_rescored_in_16_element_windows(self):
+        # the instance above on 64 equal subcarriers and an 8-entry codebook
+        # that repeats its two entries: S * K = 512, so the window is 16
+        n_el = 40
+        v = np.exp(0.3j) * np.linspace(0.9, 1.1, n_el)[:, None] * np.ones(64)
+        v[0] *= 100.0
+        phi = np.tile([[1.0 + 0j], [-1.0 + 0j]], (4, 64))
+        init = np.ones(n_el, dtype=np.int64)
+        init[0] = 0
+        args = (v, np.zeros(64, dtype=complex), phi, np.ones(64), 1.0, init)
+        got = coordinate_descent_sweeps(*args)
+        want = reference_sweeps(*args, max_sweeps=20)
+        assert np.array_equal(got.indices, np.ones(n_el))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.update_rates, want.update_rates)
+        assert np.array_equal(got.sweep_rates, want.sweep_rates)
+        assert got.converged and want.converged
+        # sweep 1 scores windows 0..15 (element 0 moves), 1..16 (element 1's
+        # guess is wrong), 2..17 (element 2's), 18..33 and 34..39; sweep 2
+        # scores 0..15, 16..31 and 32..39
+        assert (got.passes, got.rows_scored) == (8, 110)
 
     @settings(max_examples=50, deadline=None)
     @given(tied_instances())

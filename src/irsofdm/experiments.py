@@ -8,6 +8,7 @@ results are reproducible byte for byte.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 
@@ -205,24 +206,12 @@ def run_convergence_trace(cfg):
     return alternating_optimize(channel, cb, practical, cfg.system, cfg.optimizer)[3]
 
 
-# rows formatted per write: bounded, so a long result streams
-_CSV_CHUNK_ROWS = 1024
-
-
 def write_csv_rows(fh, result):
     """Write a scenario result's header and rows to the open text file `fh`
-    as CSV, in the bytes `csv.writer` writes for them.
-
-    Every row is a tuple of ints, Python floats and strings that need no
-    quoting (no comma, quote or line break), so each field is its `str()`;
-    a float's is its repr(), the shortest exact form.  Rows end in CRLF and
-    are formatted `_CSV_CHUNK_ROWS` at a time, one write per chunk.
-    """
-    row_format = ",".join(["%s"] * len(result.header)) + "\r\n"
-    fh.write(row_format % result.header)
-    rows = result.rows()
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        fh.write("".join([row_format % row for row in chunk]))
+    as CSV; `csv` writes floats as repr(), the shortest exact form."""
+    writer = csv.writer(fh)
+    writer.writerow(result.header)
+    writer.writerows(result.rows())
 
 
 def write_result_csv(path, result):

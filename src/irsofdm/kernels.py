@@ -26,12 +26,13 @@ window, each against the field it sees if the guesses before it hold:
   entry is applied.  The best entries of the elements after it, scored
   against a stale field, become their guesses, and the next window starts
   after it.
-Every window gives the one-element loop's result bit for bit, so w sets only
-the work.  A pass costs a fixed overhead plus a cost per candidate value
-(w * S * K of them), and a wrong guess wastes the rest of its window, so the
-best w falls as 1/sqrt(S * K): w = min(32, isqrt(2^17 // (S * K))), at least
-1.  That is 32 at S * K = 128 (3-bit codebook, K = 16) and 16 at the paper's
-S * K = 512 (K = 64).
+Every window gives the one-element loop's result bit for bit, so its size
+sets only the work: 32 elements while a candidate row holds at most 128
+values (S * K; the desk 3-bit codebook at K = 16), 16 on wider rows (the
+paper's K = 64, S * K = 512).  A pass costs a fixed overhead plus a cost per
+candidate value, and a wrong guess wastes the rest of its window, so wide
+rows favour short windows.  Each size is the faster one end to end on the
+benchmark workloads on its side of 128 (BENCH_27.json).
 A window also ends at element N, so its (w, S, K) temporaries never exceed
 the (N, S, K) table.  `SweepResult` counts the passes and the element
 rows they scored, and carries the squared gains |h_k|^2 of the returned
@@ -43,15 +44,14 @@ The kernel checks nothing: its one caller, the alternating loop of
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-# elements scored per array pass: at most _WINDOW, and w with
-# w^2 * S * K <= _WINDOW_VALUES (see the module docstring)
+# elements scored per array pass: _WINDOW, or _WIDE_WINDOW once a candidate
+# row holds more than 128 values (S * K; see the module docstring)
 _WINDOW = 32
-_WINDOW_VALUES = 2 ** 17
+_WIDE_WINDOW = 16
 
 
 class SweepResult(NamedTuple):
@@ -99,15 +99,14 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     which makes the returned indices coordinate-wise optimal for this p.
 
     The result is that of visiting one element at a time, in ascending order;
-    the elements are scored against guessed fields in windows of
-    w = min(`_WINDOW`, isqrt(`_WINDOW_VALUES` // (S * K))) elements, at least
-    one: 32 at S * K = 128 and 16 at S * K = 512.  The window sets only
-    `passes` and `rows_scored` (see the module docstring).
+    the elements are scored against guessed fields in windows of `_WINDOW`
+    (32) elements, or `_WIDE_WINDOW` (16) when S * K > 128.  The window sets
+    only `passes` and `rows_scored` (see the module docstring).
     """
     indices = np.array(init_indices, dtype=np.int64)
     n_el, n_sc = v.shape
     n_cb = phi_table.shape[0]
-    window = min(_WINDOW, max(1, isqrt(_WINDOW_VALUES // (n_cb * n_sc))))
+    window = _WINDOW if n_cb * n_sc <= 128 else _WIDE_WINDOW
 
     update_rates = []
     sweep_rates = []

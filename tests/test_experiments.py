@@ -1,14 +1,10 @@
 """Scenario runners: validation curves, rate sweeps, reproducibility."""
 
-import csv
 import dataclasses
-import io
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +16,6 @@ import irsofdm.optimizer
 from irsofdm.channel import SystemConfig, dbm_to_watts, subcarrier_frequencies
 from irsofdm.circuit import CircuitParams, solve_capacitance, sweep_reflection
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
-from irsofdm import experiments
 from irsofdm.experiments import (
     SCHEMES,
     RateSweepResult,
@@ -30,7 +25,6 @@ from irsofdm.experiments import (
     run_model_validation,
     run_rate_vs_elements,
     run_rate_vs_power,
-    write_csv_rows,
     write_result_csv,
 )
 from irsofdm.kernels import combined_gains
@@ -372,60 +366,3 @@ class TestDropChannel:
         assert np.array_equal(a.h_direct, b.h_direct)
         assert not np.array_equal(a.h_direct, c.h_direct)
         assert a.user_angle == b.user_angle != c.user_angle
-
-
-def csv_writer_rows(fh, result):
-    """The stdlib writer whose bytes `write_csv_rows` keeps."""
-    writer = csv.writer(fh)
-    writer.writerow(result.header)
-    writer.writerows(result.rows())
-
-
-# fields as the results yield them: Python floats (edge values included), ints
-# and strings that need no quoting
-csv_labels = st.text("abcdefghijklmnopqrstuvwxyz_-+.: 0123456789", min_size=1, max_size=12)
-csv_fields = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e-5, 1e16, float("inf"), float("-inf"),
-                     float("nan")]),
-    st.integers(),
-    csv_labels,
-)
-
-
-@st.composite
-def csv_results(draw):
-    width = draw(st.integers(1, 6))
-    header = draw(st.tuples(*[csv_labels] * width))
-    rows = draw(st.lists(st.tuples(*[csv_fields] * width), max_size=30))
-    return SimpleNamespace(header=header, rows=lambda: iter(rows))
-
-
-class TestCsvBytes:
-    @pytest.mark.parametrize("cfg", [
-        # 2 targets x 600 points: more rows than one write chunk
-        tiny_config(scenario="model-validation",
-                    validation=ValidationSettings(n_points=600, target_phases_deg=(0.0, 60.0))),
-        tiny_config(),
-        tiny_config(scenario="rate-vs-elements", element_sweep=(2, 4)),
-        tiny_config(scenario="convergence-trace"),
-    ], ids=lambda cfg: cfg.scenario)
-    def test_scenario_csv_is_csv_writer_bytes(self, cfg, tmp_path):
-        result = {"model-validation": run_model_validation, "rate-vs-power": run_rate_vs_power,
-                  "rate-vs-elements": run_rate_vs_elements,
-                  "convergence-trace": run_convergence_trace}[cfg.scenario](cfg)
-        write_result_csv(tmp_path / "got.csv", result)
-        with open(tmp_path / "want.csv", "w", newline="") as fh:
-            csv_writer_rows(fh, result)
-        want = (tmp_path / "want.csv").read_bytes()
-        assert want.endswith(b"\r\n")
-        assert (tmp_path / "got.csv").read_bytes() == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(csv_results(), st.integers(1, 8))
-    def test_drawn_rows_are_csv_writer_bytes(self, result, chunk_rows):
-        got, want = io.StringIO(newline=""), io.StringIO(newline="")
-        with mock.patch.object(experiments, "_CSV_CHUNK_ROWS", chunk_rows):
-            write_csv_rows(got, result)
-        csv_writer_rows(want, result)
-        assert got.getvalue().encode() == want.getvalue().encode()

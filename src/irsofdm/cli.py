@@ -13,18 +13,11 @@ import os
 import sys
 
 from .circuit import SingularCircuitError
-from .config import _TOP, SCENARIOS, ConfigError, _apply, load_config
-from .experiments import (
-    run_convergence_trace,
-    run_model_validation,
-    run_rate_vs_elements,
-    run_rate_vs_power,
-    write_csv_rows,
-    write_result_csv,
-)
+from .config import SCENARIOS, ConfigError, load_config
+from .experiments import RUNNERS, write_csv_rows, write_result_csv
 from .optimizer import PowerAllocationError
 
-_NUMERICAL_ERRORS = (SingularCircuitError, PowerAllocationError, FloatingPointError)
+_NUMERICAL_ERRORS = (SingularCircuitError, PowerAllocationError)
 
 
 def build_parser():
@@ -91,10 +84,8 @@ def _emit(result, out):
 
 def _load(args):
     """The checked config and output path; `run` and `validate-config` both load here."""
-    cfg = load_config(args.config)
     overrides = {"scenario": args.scenario, "seed": args.seed, "n_drops": args.drops}
-    cfg = _apply(cfg, {k: v for k, v in overrides.items() if v is not None}, _TOP,
-                 "command-line overrides")
+    cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
     out = args.out or cfg.output_csv
     if out:
         _check_writable(out)
@@ -102,11 +93,7 @@ def _load(args):
 
 
 def _run(cfg, out):
-    # looked up per call, so that a patched runner is the one that runs
-    runners = {"model-validation": run_model_validation, "rate-vs-power": run_rate_vs_power,
-               "rate-vs-elements": run_rate_vs_elements,
-               "convergence-trace": run_convergence_trace}
-    result = runners[cfg.scenario](cfg)
+    result = RUNNERS[cfg.scenario](cfg)  # looked up per call, so a patched entry is what runs
     _emit(result, out)
     for line in result.summary():
         _say(line)

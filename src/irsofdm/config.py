@@ -18,6 +18,7 @@ import yaml
 
 from .channel import SystemConfig, dbm_to_watts
 from .circuit import CircuitParams
+from .experiments import RUNNERS
 from .optimizer import OptimizerSettings
 from .reflection_model import ModelParams, codebook
 
@@ -26,7 +27,7 @@ class ConfigError(Exception):
     """Configuration file is unreadable, malformed or inconsistent."""
 
 
-SCENARIOS = ("model-validation", "rate-vs-power", "rate-vs-elements", "convergence-trace")
+SCENARIOS = tuple(RUNNERS)  # a tuple: error messages print it, sampled_from takes it
 
 # Largest working array a config may ask for, in values.  The largest per drop is
 # the coordinate-descent kernel's (N, 2**bits, K) complex candidate table (2**26
@@ -252,8 +253,9 @@ class _Loader(yaml.SafeLoader):
         return mapping
 
 
-def load_config(path):
-    """Read and validate a YAML experiment configuration."""
+def load_config(path, overrides=None):
+    """Read and validate a YAML experiment configuration, then set the
+    top-level keys of `overrides` (the `run` flags) on the checked result."""
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=_Loader)
@@ -262,6 +264,5 @@ def load_config(path):
     # nesting beyond the parser's recursion and integers beyond Python's digit limit
     except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    return config_from_dict(raw)
+    cfg = config_from_dict({} if raw is None else raw)
+    return _apply(cfg, overrides, _TOP, "command-line overrides") if overrides else cfg

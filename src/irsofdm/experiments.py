@@ -206,6 +206,11 @@ def run_convergence_trace(cfg):
     return alternating_optimize(channel, cb, practical, cfg.system, cfg.optimizer)[3]
 
 
+# the one list of scenarios: name -> runner, in the order `config.SCENARIOS` keeps
+RUNNERS = {"model-validation": run_model_validation, "rate-vs-power": run_rate_vs_power,
+           "rate-vs-elements": run_rate_vs_elements, "convergence-trace": run_convergence_trace}
+
+
 def write_csv_rows(fh, result):
     """Write a scenario result's header and rows to the open text file `fh`
     as CSV; `csv` writes floats as repr(), the shortest exact form."""

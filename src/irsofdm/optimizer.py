@@ -159,8 +159,7 @@ def _alternate(channel, cb, table, config, settings):
         objectives.extend(res.update_rates.tolist())
         sweeps_total += int(res.sweep_rates.size)
 
-        alloc = water_filling(res.gains, config.noise_variance, config.max_power)
-        p = alloc.p
+        p = water_filling(res.gains, config.noise_variance, config.max_power).p
         r_now = float(mean_rate(p, res.gains, config.noise_variance))
         stages.append("power")
         objectives.append(r_now)
@@ -170,7 +169,7 @@ def _alternate(channel, cb, table, config, settings):
             break
         r_prev = r_now
     trace = OptimizationTrace(stages, np.asarray(objectives), sweeps_total, converged)
-    return indices, alloc, r_prev, trace
+    return indices, p, r_prev, trace
 
 
 def alternating_optimize(channel, cb, table, config, settings=OptimizerSettings()):
@@ -180,8 +179,8 @@ def alternating_optimize(channel, cb, table, config, settings=OptimizerSettings(
     with, one of the two `design_tables`.  Starts from uniform power and the
     center-subcarrier alignment and stops once an outer iteration improves
     the objective by less than `settings.eps_rate`.  Returns (indices,
-    powers, rate, trace); the trace objectives are non-decreasing up to
-    floating-point noise.
+    powers, rate, trace), the powers a (K,) array in watts; the trace
+    objectives are non-decreasing up to floating-point noise.
     """
     shape, expected = np.shape(table), (cb.size, channel.n_subcarriers)
     if shape != expected:

@@ -46,8 +46,8 @@ def exhaustive_search(channel, table, config):
             continue
         rate = float(mean_rate(alloc.p, gains, config.noise_variance))
         if best is None or rate > best[0]:
-            best = (rate, idx, alloc)
+            best = (rate, idx, alloc.p)
     if best is None:
         raise PowerAllocationError("no assignment yields a positive gain")
-    rate, idx, alloc = best
-    return idx, alloc, rate
+    rate, idx, powers = best
+    return idx, powers, rate

@@ -159,7 +159,7 @@ def test_alternating_bounded_by_exhaustive(capsys):
     table, _ = design_tables(model, cb, freqs)
     for drop in range(50):
         channel = drop_channel(system, 5, drop)
-        indices, alloc, rate, trace = alternating_optimize(channel, cb, table, system)
+        indices, powers, rate, trace = alternating_optimize(channel, cb, table, system)
         _, _, best = exhaustive_search(channel, table, system)
         worst_gap = max(worst_gap, rate - best)
         diffs = np.diff(trace.objectives)
@@ -171,7 +171,7 @@ def test_alternating_bounded_by_exhaustive(capsys):
                     idx = indices.copy()
                     idx[n] = s
                     g = combined_gains(channel.h_direct, channel.cascade, table[idx])
-                    moved = float(mean_rate(alloc.p, g.real ** 2 + g.imag ** 2,
+                    moved = float(mean_rate(powers, g.real ** 2 + g.imag ** 2,
                                             system.noise_variance))
                     worst_swap = max(worst_swap, moved - rate)
     ok = worst_gap <= 1e-12 and worst_swap <= 1e-12 and n_converged == 50

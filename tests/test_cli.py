@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import irsofdm
 from irsofdm.cli import main
 from irsofdm.config import _TOP, SCENARIOS, ConfigError, load_config
-from irsofdm.experiments import run_rate_vs_power
+from irsofdm.experiments import RUNNERS, run_rate_vs_power
+from irsofdm.optimizer import PowerAllocationError
 
 # a numpy warning that reaches the run's stderr fails the test that caused it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -70,7 +71,7 @@ class TestValidateConfig:
 
     def test_unwritable_output_csv_rejected_by_both_commands(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", calls.append)
+        monkeypatch.setitem(RUNNERS, "rate-vs-power", calls.append)
         out = tmp_path / "missing" / "x.csv"
         path = write(tmp_path, TINY + f"output_csv: {out}\n")
         assert main(["validate-config", path]) == 2
@@ -145,9 +146,9 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             load_config(path)
         assert main(["validate-config", path]) == 2
-        # --drops 1 keeps a wrongly accepted config short, but would mend an n_drops fault
-        drops = [] if "n_drops" in text else ["--drops", "1"]
-        assert main(["run", path, *drops]) == 2
+        # --drops 1 keeps a wrongly accepted config short; it cannot mend an n_drops
+        # fault, since the file is validated before the command-line overrides
+        assert main(["run", path, "--drops", "1"]) == 2
 
     def test_deep_nesting_error_names_the_recursion(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse .*recursion"):
@@ -213,9 +214,9 @@ class TestRun:
 
         def stop(cfg):
             calls.append(cfg)
-            raise FloatingPointError("stop after the output check")
+            raise PowerAllocationError("stop after the output check")
 
-        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", stop)
+        monkeypatch.setitem(RUNNERS, "rate-vs-power", stop)
         out = {"missing-dir": tmp_path / "missing" / "x.csv",
                "directory": tmp_path}.get(target, tmp_path / "old.csv")
         # open(out, "w") truncates an existing file, which needs its own permission only
@@ -235,9 +236,9 @@ class TestRun:
 
         def check_untouched(cfg):
             assert out.read_text() == "old\n"
-            raise FloatingPointError("stop after the check")
+            raise PowerAllocationError("stop after the check")
 
-        monkeypatch.setattr("irsofdm.cli.run_rate_vs_power", check_untouched)
+        monkeypatch.setitem(RUNNERS, "rate-vs-power", check_untouched)
         assert main(["run", write(tmp_path, TINY), "--out", str(out)]) == 3
         assert out.read_text() == "old\n"
 
@@ -342,11 +343,11 @@ class TestRun:
         cfg = write(tmp_path, TINY)
         command = (["validate-config", cfg] if scenario is None
                    else ["run", cfg, "--scenario", scenario, "--drops", "1"])
-        proc = subprocess.Popen([sys.executable, "-m", "irsofdm.cli", *command], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        proc.stdout.close()  # before the interpreter has even imported the package
-        err = proc.stderr.read()
-        assert proc.wait() == 2
+        with subprocess.Popen([sys.executable, "-m", "irsofdm.cli", *command], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.close()  # before the interpreter has even imported the package
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
         assert err.splitlines() == ["configuration error: cannot write standard output: "
                                     "[Errno 32] Broken pipe"]
         assert "Traceback" not in err and "Exception ignored" not in err
@@ -372,14 +373,14 @@ class TestRun:
         args = [sys.executable, "-m", "irsofdm.cli", "run", write(tmp_path, text),
                 "--out", str(tmp_path / "out.csv")]
         if stderr == "closed":
-            proc = subprocess.Popen(args, env=env, preexec_fn=lambda: os.close(2),
-                                    stdout=subprocess.PIPE, text=True)
+            streams = dict(preexec_fn=lambda: os.close(2))
         else:
-            proc = subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    text=True)
-            proc.stderr.close()
-        assert proc.stdout.read() == ""  # the lost lines do not move to stdout
-        assert proc.wait() == code
+            streams = dict(stderr=subprocess.PIPE)
+        with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, text=True, **streams) as proc:
+            if proc.stderr is not None:
+                proc.stderr.close()
+            assert proc.stdout.read() == ""  # the lost lines do not move to stdout
+            assert proc.wait(timeout=60) == code
         assert (tmp_path / "out.csv").exists() == (code != 2)
 
     def test_extreme_model_coefficient_runs_without_warnings(self, tmp_path):

@@ -38,6 +38,18 @@ class TestDefaults:
         assert cfg == dataclasses.replace(ExperimentConfig(), seed=4)
 
 
+class TestOverrides:
+    def test_overrides_set_top_level_keys(self, tmp_path):
+        cfg = load_config(write(tmp_path, "seed: 4\nn_drops: 7\n"),
+                          {"scenario": "convergence-trace", "n_drops": 2})
+        assert cfg == dataclasses.replace(ExperimentConfig(), scenario="convergence-trace",
+                                          seed=4, n_drops=2)
+
+    def test_bad_override_names_the_command_line(self, tmp_path):
+        with pytest.raises(ConfigError, match="key 'seed' in command-line overrides"):
+            load_config(write(tmp_path, ""), {"seed": 2.5})
+
+
 class TestUnitKeys:
     def test_dbm_keys_convert_to_watts(self, tmp_path):
         cfg = load_config(write(tmp_path, "system:\n  max_power_dbm: 20\n  noise_dbm: -104\n"))

@@ -1,24 +1,25 @@
 """Experiment configuration: defaults, YAML loading, validation.
 
-Config files are nested YAML mappings mirroring the dataclasses below.  Keys
-carry their unit in the name (bandwidth_hz, max_power_dbm, d_ap_irs_m).  The
-table `_TOP` and the section tables it names are the one list of keys; any
-other key is rejected so typos fail loudly instead of silently keeping a
-default.  Numbers must be finite (forms like "100e6", which YAML reads as
-strings, are accepted), integers are exact, and booleans are not numbers.
+Config files are nested YAML mappings mirroring the settings dataclasses below,
+which are the one list of keys: a key is its field's name or, in `_UNIT_KEYS`,
+that name with its unit (bandwidth_hz, d_ap_irs_m), and a float read in dBm is
+held in watts.  Any other key is rejected so typos fail loudly instead of
+silently keeping a default.  Numbers must be finite (forms like "100e6", which
+YAML reads as strings, are accepted), integers are exact, and booleans are not numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 import yaml
 
 from .channel import SystemConfig, dbm_to_watts
 from .circuit import CircuitParams
-from .experiments import RUNNERS
+from .experiments import RUNNERS, SCHEMES
 from .optimizer import OptimizerSettings
 from .reflection_model import ModelParams, codebook
 
@@ -51,7 +52,7 @@ class ValidationSettings:
     f_min: float = 2.3e9
     f_max: float = 2.5e9
     n_points: int = 201
-    target_phases_deg: tuple = (0.0, 60.0, -60.0, 120.0, -120.0)
+    target_phases_deg: tuple[float, ...] = (0.0, 60.0, -60.0, 120.0, -120.0)
 
     def __post_init__(self):
         if not 0.0 < self.f_min <= self.f_max:
@@ -79,8 +80,8 @@ class ExperimentConfig:
     n_drops: int = 100
     output_csv: str | None = None
     codebook_bits: int = 3
-    power_sweep_dbm: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    element_sweep: tuple = (16, 32, 64)
+    power_sweep_dbm: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    element_sweep: tuple[int, ...] = (16, 32, 64)
     system: SystemConfig = dataclasses.field(default_factory=_desk_system)
     circuit: CircuitParams = dataclasses.field(default_factory=CircuitParams)
     model: ModelParams = dataclasses.field(default_factory=ModelParams)
@@ -106,10 +107,10 @@ class ExperimentConfig:
             raise ValueError("element counts cannot be negative")
         codebook(self.codebook_bits)  # raises ValueError outside 1..8 bits
         n_points = max(len(self.power_sweep_dbm), len(self.element_sweep))
-        results = self.n_drops * n_points * 3  # practical, ideal and no-IRS rates
+        results = self.n_drops * n_points * len(SCHEMES)
         if results > MAX_WORKING_VALUES:
-            raise ValueError(f"{self.n_drops} drops x {n_points} sweep points x 3 schemes = "
-                             f"{results} rates exceed the cap of {MAX_WORKING_VALUES}")
+            raise ValueError(f"{self.n_drops} drops x {n_points} sweep points x {len(SCHEMES)} "
+                             f"schemes = {results} rates exceed the cap of {MAX_WORKING_VALUES}")
         n_max = max(1, self.system.n_elements, *self.element_sweep)
         per_element = max(2 ** self.codebook_bits, self.system.n_taps)
         size = n_max * per_element * self.system.n_subcarriers
@@ -166,43 +167,39 @@ def _list_of(convert):
     return convert_list
 
 
-# YAML key -> (dataclass field, converter).  A converter that is itself a table
-# reads a nested section.
-_SYSTEM = {
-    "n_elements": ("n_elements", _integer), "n_subcarriers": ("n_subcarriers", _integer),
-    "bandwidth_hz": ("bandwidth", _number),
-    "center_frequency_hz": ("center_frequency", _number),
-    "max_power_dbm": ("max_power", _watts), "noise_dbm": ("noise_variance", _watts),
-    "d_ap_irs_m": ("d_ap_irs", _number), "d_irs_user_m": ("d_irs_user", _number),
-    "ref_attenuation_db": ("ref_attenuation_db", _number),
-    "pathloss_exponent_ap_irs": ("exponent_ap_irs", _number),
-    "pathloss_exponent_irs_user": ("exponent_irs_user", _number),
-    "pathloss_exponent_ap_user": ("exponent_ap_user", _number),
-    "n_taps": ("n_taps", _integer),
+# field -> YAML key, where the key adds the field's unit (or, for the path-loss
+# exponents, its quantity); every other key is its field's name
+_UNIT_KEYS = {
+    "bandwidth": "bandwidth_hz", "center_frequency": "center_frequency_hz",
+    "max_power": "max_power_dbm", "noise_variance": "noise_dbm", "d_ap_irs": "d_ap_irs_m",
+    "d_irs_user": "d_irs_user_m", "exponent_ap_irs": "pathloss_exponent_ap_irs",
+    "exponent_irs_user": "pathloss_exponent_irs_user",
+    "exponent_ap_user": "pathloss_exponent_ap_user", "l1": "l1_h", "l2": "l2_h", "r": "r_ohm",
+    "z0": "z0_ohm", "c_min": "c_min_f", "c_max": "c_max_f", "f_min": "f_min_hz",
+    "f_max": "f_max_hz",
 }
-_CIRCUIT = {"l1_h": ("l1", _number), "l2_h": ("l2", _number), "r_ohm": ("r", _number),
-            "z0_ohm": ("z0", _number), "c_min_f": ("c_min", _number),
-            "c_max_f": ("c_max", _number)}
-_MODEL = {f.name: (f.name, _number) for f in dataclasses.fields(ModelParams)}
-_OPTIMIZER = {"eps_rate": ("eps_rate", _number), "max_outer": ("max_outer", _integer),
-              "max_sweeps": ("max_sweeps", _integer)}
-_VALIDATION = {"f_min_hz": ("f_min", _number), "f_max_hz": ("f_max", _number),
-               "n_points": ("n_points", _integer),
-               "target_phases_deg": ("target_phases_deg", _list_of(_number))}
-_TOP = {
-    "scenario": ("scenario", _text),
-    "seed": ("seed", _integer),
-    "n_drops": ("n_drops", _integer),
-    "output_csv": ("output_csv", _text),
-    "codebook_bits": ("codebook_bits", _integer),
-    "power_sweep_dbm": ("power_sweep_dbm", _list_of(_number)),
-    "element_sweep": ("element_sweep", _list_of(_integer)),
-    "system": ("system", _SYSTEM),
-    "circuit": ("circuit", _CIRCUIT),
-    "model": ("model", _MODEL),
-    "optimizer": ("optimizer", _OPTIMIZER),
-    "validation": ("validation", _VALIDATION),
-}
+_CONVERTERS = {int: _integer, float: _number, str: _text, str | None: _text,
+               tuple[int, ...]: _list_of(_integer), tuple[float, ...]: _list_of(_number)}
+
+
+def _table(cls):
+    """YAML key -> (field, converter) of the settings dataclass `cls`, in field
+    order; a field that holds a dataclass has its section's table as converter."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for field in dataclasses.fields(cls):
+        kind, key = hints[field.name], _UNIT_KEYS.get(field.name, field.name)
+        if dataclasses.is_dataclass(kind):
+            convert = _table(kind)
+        elif kind not in _CONVERTERS:  # fails at import, not when the key is set
+            raise TypeError(f"no converter for {cls.__name__}.{field.name}: {kind}")
+        else:
+            convert = _watts if kind is float and key.endswith("_dbm") else _CONVERTERS[kind]
+        table[key] = (field.name, convert)
+    return table
+
+
+_TOP = _table(ExperimentConfig)
 
 
 def _apply(base, mapping, table, where="configuration root"):

@@ -160,24 +160,24 @@ class RateSweepResult:
                    "without converging")
 
 
-def _rate_sweep(cfg, sweep_var, values, systems, element_counts):
+def _rate_sweep(cfg, sweep_var, values, systems):
     """Rate of every scheme at each sweep point on each of the shared drops.
 
-    Point i designs with `systems[i]` on the first `element_counts[i]`
+    Point i designs with `systems[i]` on the first `systems[i].n_elements`
     elements of each drop's channel.  A drop's channel is drawn once, at the
     largest count, so every point sees the same drops and a smaller surface a
     subset of the same elements; small mean differences are then paired
     comparisons.
     """
     cb, tables = _design_inputs(cfg)
-    system_full = dataclasses.replace(cfg.system, n_elements=max(element_counts))
+    system_full = max(systems, key=lambda s: s.n_elements)
     rates = np.empty((len(values), len(SCHEMES), cfg.n_drops))
     nonconverged = 0
     for drop in range(cfg.n_drops):
         channel = drop_channel(system_full, cfg.seed, drop)
-        for i, (system, n) in enumerate(zip(systems, element_counts)):
-            rates[i, :, drop], stalled = simulate_drop_rates(take_elements(channel, n), cb,
-                                                             tables, system, cfg.optimizer)
+        for i, system in enumerate(systems):
+            rates[i, :, drop], stalled = simulate_drop_rates(
+                take_elements(channel, system.n_elements), cb, tables, system, cfg.optimizer)
             nonconverged += stalled
     return RateSweepResult(sweep_var, values, cfg.seed, rates, nonconverged, cfg.optimizer)
 
@@ -190,13 +190,14 @@ def run_rate_vs_power(cfg):
     """
     values = tuple(float(v) for v in cfg.power_sweep_dbm)
     systems = [dataclasses.replace(cfg.system, max_power=float(dbm_to_watts(v))) for v in values]
-    return _rate_sweep(cfg, "power_dbm", values, systems, [cfg.system.n_elements] * len(values))
+    return _rate_sweep(cfg, "power_dbm", values, systems)
 
 
 def run_rate_vs_elements(cfg):
     """Mean rate of every scheme across the element counts of `cfg.element_sweep`."""
     values = tuple(int(n) for n in cfg.element_sweep)
-    return _rate_sweep(cfg, "n_elements", values, [cfg.system] * len(values), values)
+    systems = [dataclasses.replace(cfg.system, n_elements=n) for n in values]
+    return _rate_sweep(cfg, "n_elements", values, systems)
 
 
 def run_convergence_trace(cfg):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import irsofdm
 from irsofdm.cli import main
-from irsofdm.config import _TOP, SCENARIOS, ConfigError, load_config
+from irsofdm.config import _TOP, SCENARIOS, ConfigError, _list_of, load_config
 from irsofdm.experiments import RUNNERS, run_rate_vs_power
 from irsofdm.optimizer import PowerAllocationError
 
@@ -487,25 +487,29 @@ EXTREMES = [0, 1e-300, -1e-300, 1e300, -1e300]
 BOUNDS = [1, -1, 8, 9, 2 ** 26]
 SIZES = {"n_drops": [1], "n_elements": [1, 4], "n_subcarriers": [1, 4], "n_taps": [1, 4],
         "n_points": [1, 4], "element_sweep": [4]}
-LISTS = {"power_sweep_dbm", "element_sweep", "target_phases_deg"}
 BASE = {"n_drops": 1, "power_sweep_dbm": [0, 30], "element_sweep": [0, 4],
         "system": {"n_elements": 4, "n_subcarriers": 4},
         "validation": {"n_points": 4, "target_phases_deg": [0, 60]}}
 
 
-def _key_paths(table, prefix=()):
+def _leaves(table, prefix=()):
     for key, (_, convert) in table.items():
         if isinstance(convert, dict):
-            yield from _key_paths(convert, prefix + (key,))
+            yield from _leaves(convert, prefix + (key,))
         else:
-            yield prefix + (key,)
+            yield prefix + (key,), convert
+
+
+# the list-valued keys: every converter that `_list_of` builds runs its code
+LISTS = {path[-1] for path, convert in _leaves(_TOP)
+         if convert.__code__ is _list_of(None).__code__}
 
 
 @st.composite
 def config_dicts(draw):
     raw = {**BASE, "scenario": draw(st.sampled_from(SCENARIOS)),
            "system": dict(BASE["system"]), "validation": dict(BASE["validation"])}
-    paths = st.sampled_from(list(_key_paths(_TOP)))
+    paths = st.sampled_from([path for path, _ in _leaves(_TOP)])
     for *sections, key in draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
         extra = list(SCENARIOS) if key == "scenario" else SIZES.get(key, BOUNDS)
         value = st.sampled_from(EXTREMES + extra)

@@ -182,14 +182,51 @@ class TestLoaderTables:
         assert len(set(fields)) == len(fields)
         assert set(fields) == {f.name for f in dataclasses.fields(cls)}
 
+    def test_yaml_keys_are_pinned(self):
+        # keys follow field names, so a renamed field would rename its key unnoticed
+        assert [".".join(path) for path, _ in _leaves()] == [
+            "scenario", "seed", "n_drops", "output_csv", "codebook_bits", "power_sweep_dbm",
+            "element_sweep", "system.n_elements", "system.n_subcarriers", "system.bandwidth_hz",
+            "system.center_frequency_hz", "system.max_power_dbm", "system.noise_dbm",
+            "system.d_ap_irs_m", "system.d_irs_user_m", "system.ref_attenuation_db",
+            "system.pathloss_exponent_ap_irs", "system.pathloss_exponent_irs_user",
+            "system.pathloss_exponent_ap_user", "system.n_taps", "circuit.l1_h", "circuit.l2_h",
+            "circuit.r_ohm", "circuit.z0_ohm", "circuit.c_min_f", "circuit.c_max_f",
+            "model.alpha1", "model.alpha2", "model.alpha3", "model.alpha4", "model.beta1",
+            "model.beta2", "model.beta3", "optimizer.eps_rate", "optimizer.max_outer",
+            "optimizer.max_sweeps", "validation.f_min_hz", "validation.f_max_hz",
+            "validation.n_points", "validation.target_phases_deg"]
 
-def _numeric_keys(table=config._TOP, path=()):
-    """Key paths of every non-text leaf of the loader tables."""
+    def test_only_the_dbm_floats_convert_to_watts(self):
+        watts = [".".join(path) for path, convert in _leaves() if convert is config._watts]
+        assert watts == ["system.max_power_dbm", "system.noise_dbm"]
+
+    def test_every_unit_key_names_a_field(self):
+        fields = {f.name for _, cls in SECTIONS for f in dataclasses.fields(cls)}
+        assert set(config._UNIT_KEYS) <= fields
+
+    def test_a_field_without_a_converter_fails_at_once(self):
+        @dataclasses.dataclass(frozen=True)
+        class Flags:
+            verbose: bool = False
+
+        # a bool would otherwise pass as an int, and `true` would load as 1
+        with pytest.raises(TypeError, match="Flags.verbose"):
+            config._table(Flags)
+
+
+def _leaves(table=config._TOP, path=()):
+    """(key path, converter) of every leaf of the loader tables."""
     for key, (_, convert) in table.items():
         if isinstance(convert, dict):
-            yield from _numeric_keys(convert, path + (key,))
-        elif convert is not config._text:
-            yield path + (key,)
+            yield from _leaves(convert, path + (key,))
+        else:
+            yield path + (key,), convert
+
+
+def _numeric_keys():
+    """Key paths of every non-text leaf of the loader tables."""
+    return [path for path, convert in _leaves() if convert is not config._text]
 
 
 def _nested(path, value):
@@ -199,7 +236,7 @@ def _nested(path, value):
 
 
 class TestStrictNumbers:
-    @pytest.mark.parametrize("path", list(_numeric_keys()), ids=".".join)
+    @pytest.mark.parametrize("path", _numeric_keys(), ids=".".join)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_every_numeric_key_rejects_non_finite(self, path, bad):
         # a list-valued key must reject the bad value as an item too

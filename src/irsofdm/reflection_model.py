@@ -15,7 +15,7 @@ and the realized reflection across frequency f is
 with A clamped to [0, 1]; `model_response` returns (A, theta), the shape of
 `circuit.sweep_reflection`.  The defaults reproduce a varactor-tuned element
 resonant near 2.4 GHz; `fit_model` refits the seven coefficients to sampled
-circuit curves with a derivative-free simplex search.
+circuit curves by Levenberg-Marquardt least squares.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .circuit import wrap_phase
 _GHZ = 1e9
 _WIDTH_GHZ = 0.05  # resonance width scale of the amplitude dip
 # fit_model: weight of the squared amplitude errors against the squared phase
-# errors, and the objective evaluations the descent may spend
+# errors, and the damped Gauss-Newton steps, accepted or rejected, it may take
 _FIT_AMP_WEIGHT = 4.0
-_FIT_EVALS = 20000
+_FIT_STEPS = 500
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,25 +137,24 @@ class FitReport:
     no_improvement: bool
 
 
-def _fit_objective(vec, x, f, obs_phase, obs_amp):
-    margin = _validity_margin(vec)
-    if margin <= 0.0:
-        # steer the simplex back inside the validity region
-        return 1e12 * (1.0 + abs(margin))
+def _fit_residuals(vec, x, f, obs_phase, obs_amp):
+    """Residuals of the coefficient vector `vec` on the samples: the wrapped
+    phase errors, then sqrt(_FIT_AMP_WEIGHT) times the amplitude errors, so
+    that their sum of squares is the fit objective."""
     _, _, phase, amp = _curves(vec, x, f)
-    dphi = wrap_phase(phase - obs_phase)
-    val = float(np.dot(dphi, dphi) + _FIT_AMP_WEIGHT * np.sum((amp - obs_amp) ** 2))
-    if not np.isfinite(val):
-        return 1e15
-    return val
+    return np.concatenate([wrap_phase(phase - obs_phase),
+                           np.sqrt(_FIT_AMP_WEIGHT) * (amp - obs_amp)])
 
 
 def fit_model(center_phase, frequency, phase, amplitude, init=None):
     """Refit the model coefficients to sampled circuit curves.
 
     Minimizes the sum of squared wrapped phase errors plus `_FIT_AMP_WEIGHT`
-    times the squared amplitude errors by Nelder-Mead simplex descent from
-    `init`, restarted from its own result while that still improves it.
+    times the squared amplitude errors by damped Gauss-Newton steps from
+    `init` (Levenberg-Marquardt, forward-difference Jacobian).  A step that
+    leaves the validity region or does not lower the objective is rejected
+    and the damping grows; the descent stops when the damping reaches 1e12,
+    when a step gains at most 1e-12 of the objective, or after `_FIT_STEPS`.
     Deterministic: the same samples and `init` give the same coefficients.
 
     Parameters
@@ -176,8 +175,6 @@ def fit_model(center_phase, frequency, phase, amplitude, init=None):
         it, with the report's no_improvement flag set) and per-curve error
         maxima.
     """
-    import scipy.optimize  # about 0.7 s to import, and only the fit needs it
-
     samples = np.stack(np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (center_phase, frequency, phase, amplitude))))
     x, f, obs_phase, obs_amp = samples.reshape(4, -1)  # C order: target phase first
@@ -196,16 +193,29 @@ def fit_model(center_phase, frequency, phase, amplitude, init=None):
         init = ModelParams()
     args = (x, f, obs_phase, obs_amp)
     best_vec = init.as_array()
-    obj_init = best_obj = _fit_objective(best_vec, *args)
-    budget = _FIT_EVALS
-    while budget > 100:
-        res = scipy.optimize.minimize(
-            _fit_objective, best_vec, args=args, method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True})
-        budget -= res.nfev
-        if not res.fun < best_obj - 1e-15:
-            break
-        best_vec, best_obj = res.x, res.fun
+    res = _fit_residuals(best_vec, *args)
+    obj_init = best_obj = float(res @ res)
+    damping, jac = 1e2, None
+    for _ in range(_FIT_STEPS):
+        if jac is None:  # forward differences, after each accepted step
+            h = 1e-7 * np.maximum(np.abs(best_vec), 1e-3)
+            jac = np.stack([_fit_residuals(best_vec + d, *args) - res for d in np.diag(h)], 1) / h
+            hess, grad = jac.T @ jac, jac.T @ res
+        trial = best_vec - np.linalg.solve(hess + damping * np.diag(np.diag(hess) + 1e-12), grad)
+        trial_obj = np.inf
+        if _validity_margin(trial) > 0.0:
+            trial_res = _fit_residuals(trial, *args)
+            trial_obj = float(trial_res @ trial_res)
+        if trial_obj < best_obj:  # a NaN objective compares False: rejected
+            gain = (best_obj - trial_obj) / best_obj
+            best_vec, res, best_obj, jac = trial, trial_res, trial_obj, None
+            damping = max(damping / 10.0, 1e-12)
+            if gain <= 1e-12:
+                break
+        else:
+            damping *= 10.0
+            if damping >= 1e12:
+                break
 
     no_improvement = not best_obj < obj_init - 1e-12 * max(1.0, abs(obj_init))
     if no_improvement:

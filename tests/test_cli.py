@@ -449,32 +449,33 @@ def test_one_drop_summary_has_no_standard_error(tmp_path, capsys):
         assert re.fullmatch(pattern, line), line
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize takes most of a fresh start-up and only fit_model uses it
-    code = "import sys, irsofdm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_every_scenario_runs_without_scipy(tmp_path):
-    # only fit_model needs scipy; no scenario fits
+def test_every_scenario_and_the_fit_run_without_scipy(tmp_path):
+    # the package needs numpy and PyYAML only; an import of scipy fails here
     cfg = write(tmp_path, TINY + "element_sweep: [0, 2]\n"
                 "validation: {n_points: 3, target_phases_deg: [0, -60]}\n")
     code = f"""
 import json, sys
 sys.modules["scipy"] = None
+import numpy as np
+from irsofdm import ModelParams, fit_model, model_response
 from irsofdm.cli import main
 from irsofdm.config import SCENARIOS
 codes = {{s: main(["run", {cfg!r}, "--scenario", s, "--drops", "1",
                    "--out", {str(tmp_path / "out.csv")!r}]) for s in SCENARIOS}}
+# acceptance check 3: the generating curves from a perturbed start
+centers, freqs = np.deg2rad([-90.0, 0.0, 90.0])[:, None], np.linspace(2.3e9, 2.5e9, 21)
+amplitude, phase = model_response(ModelParams(), centers, freqs)
+start = ModelParams().as_array() * (1.0 + np.random.default_rng(3).uniform(-0.1, 0.1, 7))
+_, report = fit_model(centers, freqs, phase, amplitude, ModelParams.from_array(start))
+error = max(report.max_phase_error.max(), report.max_amplitude_error.max())
 loaded = [m for m, mod in sys.modules.items() if m.partition(".")[0] == "scipy" and mod]
-print(json.dumps([codes, loaded]))
+print(json.dumps([codes, error, loaded]))
 """
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
                          text=True, check=True)
-    codes, loaded = json.loads(out.stdout)
+    codes, error, loaded = json.loads(out.stdout)
     assert codes == {s: 0 for s in SCENARIOS}
+    assert error <= 1e-3
     assert loaded == []
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import irsofdm
 import irsofdm.optimizer
 from irsofdm.channel import SystemConfig, dbm_to_watts, subcarrier_frequencies
-from irsofdm.circuit import CircuitParams, solve_capacitance, sweep_reflection
+from irsofdm.circuit import PHASE_TOL, CircuitParams, solve_capacitance, sweep_reflection
 from irsofdm.config import ExperimentConfig, OptimizerSettings, ValidationSettings
 from irsofdm.experiments import (
     SCHEMES,
@@ -29,7 +29,7 @@ from irsofdm.experiments import (
 )
 from irsofdm.kernels import combined_gains
 from irsofdm.optimizer import alternating_optimize, design_tables
-from irsofdm.reflection_model import codebook, curve_errors
+from irsofdm.reflection_model import codebook, curve_errors, fit_model
 
 TINY_SYSTEM = SystemConfig(n_elements=4, n_subcarriers=4)
 
@@ -293,32 +293,55 @@ class TestDesignTablesPerRun:
 
 
 class TestCircuitTable:
-    def test_practical_design_beats_ideal_on_the_circuit(self):
-        # the circuit's own response to each entry of the default 3-bit codebook, tuned at
-        # the center frequency; -180 deg is out of reach, so it takes the nearest capacitance
-        cfg = ExperimentConfig()
-        system, circuit = cfg.system, cfg.circuit
-        cb = codebook(cfg.codebook_bits)
+    """Designs scored on the circuit's own response to each entry of the default
+    3-bit codebook, tuned at the center frequency; -180 deg is out of reach, so it
+    takes the nearest capacitance."""
+
+    CFG = ExperimentConfig()
+
+    def _circuit_table(self):
+        system, circuit = self.CFG.system, self.CFG.circuit
+        cb = codebook(self.CFG.codebook_bits)
         caps, _ = solve_capacitance(circuit, cb.values, system.center_frequency)
         freqs = subcarrier_frequencies(system.center_frequency, system.bandwidth,
                                        system.n_subcarriers)
         amp, phase = sweep_reflection(circuit, caps[:, None], freqs)
         assert np.all(amp <= 1.0)
-        table = amp * np.exp(1j * phase)
-        practical, ideal = design_tables(cfg.model, cb, freqs)
+        return cb, freqs, amp * np.exp(1j * phase)
+
+    def _assert_first_design_wins(self, cb, table, designs, standard_errors):
+        # paired over 20 drops: the mean gap exceeds the given standard errors
+        system = self.CFG.system
         channels = [drop_channel(system, 0, drop) for drop in range(20)]
         for dbm in (-10.0, 10.0, 30.0):
             budget = dataclasses.replace(system, max_power=float(dbm_to_watts(dbm)))
             gap = []
             for channel in channels:
                 rates = []
-                for design in (practical, ideal):
+                for design in designs:
                     indices = alternating_optimize(channel, cb, design, budget)[0]
                     g = combined_gains(channel.h_direct, channel.cascade, table[indices])
                     rates.append(_water_filled_rate(g, budget))
                 gap.append(rates[0] - rates[1])
-            # paired over the drops: the mean gap exceeds three standard errors
-            assert np.mean(gap) > 3.0 * np.std(gap, ddof=1) / np.sqrt(len(gap)), dbm
+            se = np.std(gap, ddof=1) / np.sqrt(len(gap))
+            assert np.mean(gap) > standard_errors * se, dbm
+
+    def test_practical_design_beats_ideal_on_the_circuit(self):
+        cb, freqs, table = self._circuit_table()
+        practical, ideal = design_tables(self.CFG.model, cb, freqs)
+        self._assert_first_design_wins(cb, table, (practical, ideal), 3.0)
+
+    def test_model_refit_to_the_circuit_designs_better(self):
+        # the stock model refit on the reachable entries' curves over the design band
+        cb, freqs, table = self._circuit_table()
+        circuit, f_c = self.CFG.circuit, self.CFG.system.center_frequency
+        caps, miss = solve_capacitance(circuit, cb.values, f_c)
+        reached = miss <= PHASE_TOL
+        band = np.linspace(2.35e9, 2.45e9, 101)
+        amp, phase = sweep_reflection(circuit, caps[reached, None], band)
+        refit, _ = fit_model(cb.values[reached, None], band[None, :], phase, amp)
+        designs = (design_tables(refit, cb, freqs)[0], design_tables(self.CFG.model, cb, freqs)[0])
+        self._assert_first_design_wins(cb, table, designs, 2.0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,11 +1,16 @@
 """The coordinate-descent sweep kernel and the gain/rate primitives it uses."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsofdm import optimizer
 from irsofdm.channel import SystemConfig, generate_channels
+from irsofdm.config import ExperimentConfig, load_config
+from irsofdm.experiments import _design_inputs, drop_channel
 from irsofdm.kernels import SweepResult, combined_gains, coordinate_descent_sweeps, mean_rate
 from irsofdm.reflection_model import ModelParams, codebook, model_response, reflection_table
 
@@ -254,3 +259,38 @@ class TestNumpyKernel:
         before = init.copy()
         coordinate_descent_sweeps(v, h_d, phi, p, sigma2, init)
         assert np.array_equal(init, before)
+
+
+PAPER_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "full-trace.yaml"
+
+
+class TestDesignWork:
+    # kernel calls, passes, rows scored, updates and sweeps of the seed-0,
+    # drop-0 design: integers that depend on no host or SIMD dispatch, so a
+    # change to the design's work shows here on any machine.  "default" is the
+    # empty config (N = 32, K = 16, 32-element windows), "paper" the full-trace
+    # config (N = 128, K = 64, 16-element windows).
+    @pytest.mark.parametrize("case, scheme, counts", [
+        ("default", 0, (2, 23, 581, 224, 7)),
+        ("default", 1, (2, 23, 555, 224, 7)),
+        ("paper", 0, (2, 98, 1502, 1024, 8)),
+        ("paper", 1, (2, 146, 2183, 1536, 12)),
+    ], ids=["default-practical", "default-ideal", "paper-practical", "paper-ideal"])
+    def test_work_of_one_design(self, monkeypatch, case, scheme, counts):
+        cfg = ExperimentConfig() if case == "default" else load_config(PAPER_CONFIG)
+        cb, tables = _design_inputs(cfg)
+        channel = drop_channel(cfg.system, 0, 0)
+        results = []
+
+        def recorder(*args, **kwargs):
+            results.append(coordinate_descent_sweeps(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optimizer, "coordinate_descent_sweeps", recorder)
+        trace = optimizer.alternating_optimize(channel, cb, tables[scheme], cfg.system,
+                                               cfg.optimizer)[3]
+        got = (len(results), sum(r.passes for r in results),
+               sum(r.rows_scored for r in results), sum(r.update_rates.size for r in results),
+               sum(r.sweep_rates.size for r in results))
+        assert got == counts
+        assert all(r.converged for r in results) and trace.converged

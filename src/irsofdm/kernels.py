@@ -9,23 +9,25 @@ The hot loop of reflect beamforming visits the elements in ascending order
 and, for each, rescans the whole phase codebook against the current residual
 field.  Cost per sweep is N * S * K log-rate evaluations, which dominates the
 Monte Carlo experiments.  Ties go to the lowest codebook index.  Each call
-first builds the (N, S, K) table of every element's contribution under every
-codebook entry, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
-element update only adds rows of it; the config loader caps N * S * K.
+first builds the table vphi[n, s] of element n's (K,) contribution under
+codebook entry s, 16 * N * S * K bytes (1 MiB at N=128, S=8, K=64), so an
+element update only adds its rows; the config loader caps N * S * K.
 
 Elements are scored in windows of w consecutive elements, one array pass per
 window, each against the field it sees if the guesses before it hold:
 - an element's guess is its best entry from the last pass that scored it; an
   element not scored yet is guessed to keep its entry;
-- the fields come from one `np.add.accumulate` over [field, -row_cur,
-  +row_guess, ...], one pair per guessed mover.  Accumulation folds left to
-  right and F + (-x) is F - x bit for bit, so up to the first element whose
-  best entry differs from its guess, every score is the one the one-element
-  loop computes;
+- the fields come from one `np.add.accumulate` over [field, -vphi[n, cur],
+  +vphi[n, guess], ...], one pair per guessed mover n.  Accumulation folds
+  left to right and F + (-x) is F - x bit for bit, so up to the first
+  element whose best entry differs from its guess, every score is the one
+  the one-element loop computes;
 - the window is accepted up to and including that element, and its true
   entry is applied.  The best entries of the elements after it, scored
   against a stale field, become their guesses, and the next window starts
   after it.
+Each element is accepted exactly once per sweep, so a sweep that leaves the
+indices as it found them changed none, and the kernel has converged.
 Every window gives the one-element loop's result bit for bit, so its size
 sets only the work: 32 elements while a candidate row holds at most 128
 values (S * K; the desk 3-bit codebook at K = 16), 16 on wider rows (the
@@ -58,7 +60,7 @@ class SweepResult(NamedTuple):
     indices: np.ndarray       # final codebook index per element
     update_rates: np.ndarray  # objective after each single-element update
     sweep_rates: np.ndarray   # freshly recomputed objective after each sweep
-    converged: bool           # a full sweep changed no index
+    converged: bool           # a full sweep left the indices unchanged
     passes: int               # windows scored, one array pass each
     rows_scored: int          # element rows scored over all passes
     gains: np.ndarray         # |h_k|^2 per subcarrier under the returned indices
@@ -95,8 +97,8 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     init_indices : (N,) starting codebook indices in [0, S) (copied, not mutated)
     max_sweeps : at least 1
 
-    Returns a SweepResult; converged means the last sweep was a fixed point,
-    which makes the returned indices coordinate-wise optimal for this p.
+    Returns a SweepResult; converged means the last sweep left the indices
+    unchanged, a fixed point, which makes them coordinate-wise optimal for p.
 
     The result is that of visiting one element at a time, in ascending order;
     the elements are scored against guessed fields in windows of `_WINDOW`
@@ -105,39 +107,33 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
     """
     indices = np.array(init_indices, dtype=np.int64)
     n_el, n_sc = v.shape
-    n_cb = phi_table.shape[0]
-    window = _WINDOW if n_cb * n_sc <= 128 else _WIDE_WINDOW
+    window = _WINDOW if phi_table.size <= 128 else _WIDE_WINDOW  # S * K
 
-    update_rates = []
-    sweep_rates = []
-    converged = False
+    update_rates, sweep_rates = [], []
     rows_scored = 0
     vphi = v[:, None, :] * phi_table  # (N, S, K): every element under every entry
-    rows = vphi.reshape(n_el * n_cb, n_sc)  # row n * S + s is vphi[n, s]
-    first = np.arange(n_el) * n_cb
+    elements = np.arange(n_el)
     guess = indices.copy()  # best entry when last scored; unscored: keep
     base = combined_gains(h_d, v, phi_table[indices])
     for _ in range(max_sweeps):
-        changed = False
+        start = indices.copy()
         i0 = 0
         while i0 < n_el:
             i1 = min(i0 + window, n_el)
-            cur, g = indices[i0:i1], guess[i0:i1]
-            at = first[i0:i1]
-            cur_rows = at + cur
+            el, cur, g = elements[i0:i1], indices[i0:i1], guess[i0:i1]
             guessed = g != cur
             if guessed.any():
                 # the field before each element, if every guess before it holds
                 movers = np.flatnonzero(guessed)
                 terms = np.empty((1 + 2 * movers.size, n_sc), dtype=np.complex128)
                 terms[0] = base
-                np.negative(rows[cur_rows[movers]], out=terms[1::2])
-                terms[2::2] = rows[(at + g)[movers]]
+                np.negative(vphi[el[movers], cur[movers]], out=terms[1::2])
+                terms[2::2] = vphi[el[movers], g[movers]]
                 fields = np.add.accumulate(terms, axis=0)
                 seen, after = fields[2 * (np.cumsum(guessed) - guessed)], fields[-1]
             else:
                 seen = after = base  # no guessed mover: one field for the window
-            partial = seen - rows[cur_rows]
+            partial = seen - vphi[el, cur]
             cand = partial[:, None, :] + vphi[i0:i1]
             rates = mean_rate(p, cand.real ** 2 + cand.imag ** 2, noise_variance)
             best = rates.argmax(axis=1)  # first max, lowest index on ties
@@ -151,18 +147,17 @@ def coordinate_descent_sweeps(v, h_d, phi_table, p, noise_variance, init_indices
             else:
                 # a guessed mover that keeps its entry; `seen` has a row per element
                 base = seen[m]
-            kept = slice(0, m + 1)
-            changed = changed or bool((best[kept] != cur[kept]).any())
-            update_rates.append(rates[np.arange(m + 1), best[kept]])  # one entry per pass
+            update_rates.append(rates[:m + 1].max(axis=1))  # one entry per pass
             guess[i0:i1] = best  # the entries after m are stale guesses
-            indices[i0:i0 + m + 1] = best[kept]
+            indices[i0:i0 + m + 1] = best[:m + 1]
             i0 += m + 1
         # rebuild from scratch so incremental updates cannot drift
         base = combined_gains(h_d, v, phi_table[indices])
         gains = base.real ** 2 + base.imag ** 2
         sweep_rates.append(float(mean_rate(p, gains, noise_variance)))
-        if not changed:
-            converged = True
+        # a sweep accepts each element once, so it moved no index iff it ends where it began
+        converged = np.array_equal(indices, start)
+        if converged:
             break
     passes = len(update_rates)
     update_rates = np.concatenate(update_rates) if update_rates else np.zeros(0)

@@ -113,12 +113,9 @@ def water_filling(gains, noise_variance, total_power):
 def alignment_init(channel, cb):
     """Codebook indices aligning each element with the direct link at the
     center subcarrier; the usual warm start for coordinate descent."""
-    n = channel.n_elements
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     k_c = channel.n_subcarriers // 2
     v_c = channel.cascade[:, k_c]
-    share = channel.h_direct[k_c] / n
+    share = channel.h_direct[k_c] / max(channel.n_elements, 1)
     scores = np.abs(v_c[:, None] * np.exp(1j * cb.values)[None, :] + share)
     return np.argmax(scores, axis=1).astype(np.int64)
 
@@ -138,7 +135,8 @@ def design_tables(model, cb, frequencies):
 def _alternate(channel, cb, table, config, settings):
     """The alternating loop of `alternating_optimize`, on a checked table.
 
-    The loop starts from uniform power and the center-subcarrier alignment.
+    Each outer iteration compares its power step's rate with the trace's last
+    objective before it, and the trace's last objective is the returned rate.
     """
     n_sc = channel.n_subcarriers
     v = channel.cascade
@@ -148,28 +146,23 @@ def _alternate(channel, cb, table, config, settings):
     stages = ["init"]
     g = combined_gains(channel.h_direct, v, table[indices])
     objectives = [float(mean_rate(p, g.real ** 2 + g.imag ** 2, config.noise_variance))]
-    r_prev = objectives[0]
     sweeps_total = 0
     converged = False
     for _ in range(settings.max_outer):
+        r_prev = objectives[-1]  # the last power step's rate, or the start's
         res = coordinate_descent_sweeps(v, channel.h_direct, table, p, config.noise_variance,
                                         indices, max_sweeps=settings.max_sweeps)
         indices = res.indices
-        stages.extend(["reflect"] * res.update_rates.size)
-        objectives.extend(res.update_rates.tolist())
         sweeps_total += int(res.sweep_rates.size)
-
         p = water_filling(res.gains, config.noise_variance, config.max_power).p
-        r_now = float(mean_rate(p, res.gains, config.noise_variance))
-        stages.append("power")
-        objectives.append(r_now)
-        if r_now - r_prev < settings.eps_rate:
-            r_prev = r_now
+        stages.extend(["reflect"] * res.update_rates.size + ["power"])
+        objectives.extend(res.update_rates.tolist())
+        objectives.append(float(mean_rate(p, res.gains, config.noise_variance)))
+        if objectives[-1] - r_prev < settings.eps_rate:
             converged = res.converged
             break
-        r_prev = r_now
     trace = OptimizationTrace(stages, np.asarray(objectives), sweeps_total, converged)
-    return indices, p, r_prev, trace
+    return indices, p, objectives[-1], trace
 
 
 def alternating_optimize(channel, cb, table, config, settings=OptimizerSettings()):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from irsofdm import optimizer
 from irsofdm.channel import SystemConfig, generate_channels
 from irsofdm.config import ExperimentConfig, load_config
-from irsofdm.experiments import _design_inputs, drop_channel
+from irsofdm.experiments import drop_channel
 from irsofdm.kernels import SweepResult, combined_gains, coordinate_descent_sweeps, mean_rate
 from irsofdm.reflection_model import ModelParams, codebook, model_response, reflection_table
 
@@ -278,8 +278,9 @@ class TestDesignWork:
     ], ids=["default-practical", "default-ideal", "paper-practical", "paper-ideal"])
     def test_work_of_one_design(self, monkeypatch, case, scheme, counts):
         cfg = ExperimentConfig() if case == "default" else load_config(PAPER_CONFIG)
-        cb, tables = _design_inputs(cfg)
         channel = drop_channel(cfg.system, 0, 0)
+        cb = codebook(cfg.codebook_bits)
+        tables = optimizer.design_tables(cfg.model, cb, channel.frequencies)
         results = []
 
         def recorder(*args, **kwargs):
